@@ -6,9 +6,12 @@
 // batch-first claim (batch=4096 must beat batch=1 by >= 5x on at least one
 // histogram backend) and the session-redesign claim (8 producers x 8
 // shards must beat 1x1 by >= 2x — shared-lock routing used to make that
-// ratio go *below* one).
+// ratio go *below* one). A third sweep records QueryKey latency against the
+// live-key population: a point read is one table probe on the owning
+// shard's writer, so its p50 should stay flat as the key count grows.
 //
-// Usage: engine_throughput [--smoke] [--smoke-sessions] [--out PATH]
+// Usage: engine_throughput [--smoke] [--smoke-sessions] [--query-sweep]
+//                          [--out PATH]
 //   --smoke           small sizes for CI; exits nonzero if max batch
 //                     speedup < 5x
 //   --smoke-sessions  multi-producer gate only: 8x8 must beat 1x1 by
@@ -23,7 +26,13 @@
 //                     twin, proving the -DTDS_MODELCHECK=OFF wrappers are
 //                     zero-cost; self-skips in chaos/modelcheck builds
 //                     where the wrapped ring is deliberately instrumented
+//   --query-sweep     QueryKey latency sweep only: p50 at 1k / 16k / 131k /
+//                     1M live keys (with --smoke: up to 131k), each the
+//                     median of repeated rounds; exits nonzero unless the
+//                     131k p50 is <= 4x the 1k p50 (the full run records
+//                     the same rows without the check)
 //   --out             JSON results path (default BENCH_engine.json)
+#include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
@@ -132,6 +141,7 @@ struct Row {
   double seconds = 0.0;
   double items_per_sec = 0.0;
   double check = 0.0;  // QueryTotal at the end: keeps work observable
+  double p50_us = 0.0;  // "query" rows: QueryKey p50 latency
 };
 
 /// Incremental-checkpoint write amplification: seed `population` keys,
@@ -320,6 +330,86 @@ Row RunShardCase(const BackendCase& bc, const std::vector<KeyedItem>& stream,
   return row;
 }
 
+/// QueryKey latency against `keys` settled live keys (4 shards, CEH,
+/// eps = 0.1): `rounds` rounds of `queries` reads on uniformly drawn keys,
+/// each read timed alone. The row's p50 is the median of the rounds' p50s;
+/// `seconds` is the reads' total time.
+Row RunQueryCase(const BackendCase& bc, size_t keys, size_t queries,
+                 int rounds) {
+  ShardedAggregateEngine::Options options;
+  options.registry.aggregate = AggregateOptions::Builder()
+                                   .backend(bc.backend)
+                                   .epsilon(0.1)
+                                   .Build()
+                                   .value();
+  options.shards = 4;
+  auto engine = ShardedAggregateEngine::Create(bc.decay, options);
+  TDS_CHECK(engine.ok());
+  // One item per key, 4096 keys per tick (the bench stream's block size).
+  std::vector<KeyedItem> population;
+  population.reserve(keys);
+  for (uint64_t key = 0; key < keys; ++key) {
+    population.push_back(KeyedItem{key, 1 + static_cast<Tick>(key / 4096), 1});
+  }
+  auto session = (*engine)->NewProducer();
+  TDS_CHECK(session.ok());
+  TDS_CHECK((*session)->AddBatch(population).ok());
+  TDS_CHECK((*session)->Flush().ok());
+  TDS_CHECK((*engine)->Flush().ok());
+  const Tick now = population.back().t;
+
+  Rng rng(keys);
+  std::vector<double> latency_us(queries);
+  std::vector<double> round_p50;
+  double seconds = 0.0;
+  double sink = 0.0;
+  for (int round = 0; round < rounds; ++round) {
+    for (size_t q = 0; q < queries; ++q) {
+      const uint64_t key = rng.NextBelow(keys);
+      const auto start = std::chrono::steady_clock::now();
+      sink += (*engine)->QueryKey(key, now);
+      latency_us[q] = SecondsSince(start) * 1e6;
+      seconds += latency_us[q] * 1e-6;
+    }
+    std::nth_element(latency_us.begin(), latency_us.begin() + queries / 2,
+                     latency_us.end());
+    round_p50.push_back(latency_us[queries / 2]);
+  }
+  std::sort(round_p50.begin(), round_p50.end());
+  TDS_CHECK(sink > 0.0);
+  Row row;
+  row.backend = bc.label;
+  row.sweep = "query";
+  row.param = keys;
+  row.items = queries * static_cast<size_t>(rounds);
+  row.keys = keys;
+  row.seconds = seconds;
+  row.items_per_sec = static_cast<double>(row.items) / seconds;
+  row.check = (*engine)->QueryTotal(now);
+  row.p50_us = round_p50[round_p50.size() / 2];
+  return row;
+}
+
+/// Runs the QueryKey latency sweep, printing and appending its rows;
+/// returns the 131k-key p50 over the 1k-key p50.
+double RunQuerySweep(const BackendCase& bc, bool smoke,
+                     std::vector<Row>* rows) {
+  std::vector<size_t> sizes = {size_t{1} << 10, size_t{1} << 14,
+                               size_t{1} << 17};
+  if (!smoke) sizes.push_back(size_t{1} << 20);
+  double p50_1k = 0.0;
+  double p50_131k = 0.0;
+  for (const size_t keys : sizes) {
+    const Row row = RunQueryCase(bc, keys, 2000, smoke ? 3 : 7);
+    rows->push_back(row);
+    std::printf("%-8s %-6s %10zu %12.3f %11.2f us p50\n", row.backend.c_str(),
+                row.sweep.c_str(), row.param, row.seconds, row.p50_us);
+    if (keys == sizes[0]) p50_1k = row.p50_us;
+    if (keys == size_t{1} << 17) p50_131k = row.p50_us;
+  }
+  return p50_131k / p50_1k;
+}
+
 /// The producers-x-shards sweep the redesign exists for: `producers`
 /// threads each own a ProducerSession and feed disjoint slices of the same
 /// stream. Producers advance tick-block by tick-block behind a barrier —
@@ -486,10 +576,11 @@ void WriteJson(const std::string& path, const std::string& mode,
                  "    {\"backend\": \"%s\", \"sweep\": \"%s\", "
                  "\"param\": %zu, \"producers\": %zu, \"items\": %zu, "
                  "\"keys\": %zu, \"seconds\": %.6f, "
-                 "\"items_per_sec\": %.1f, \"query_total\": %.6g}%s\n",
+                 "\"items_per_sec\": %.1f, \"query_total\": %.6g",
                  r.backend.c_str(), r.sweep.c_str(), r.param, r.producers,
-                 r.items, r.keys, r.seconds, r.items_per_sec, r.check,
-                 i + 1 < rows.size() ? "," : "");
+                 r.items, r.keys, r.seconds, r.items_per_sec, r.check);
+    if (r.sweep == "query") std::fprintf(f, ", \"p50_us\": %.3f", r.p50_us);
+    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -501,6 +592,7 @@ int Main(int argc, char** argv) {
   bool smoke_sessions = false;
   bool smoke_coldkey = false;
   bool smoke_atomics = false;
+  bool query_sweep = false;
   bool require_sanitizer_skip = false;
   std::string out = "BENCH_engine.json";
   for (int i = 1; i < argc; ++i) {
@@ -512,6 +604,8 @@ int Main(int argc, char** argv) {
       smoke_coldkey = true;
     } else if (std::strcmp(argv[i], "--smoke-atomics") == 0) {
       smoke_atomics = true;
+    } else if (std::strcmp(argv[i], "--query-sweep") == 0) {
+      query_sweep = true;
     } else if (std::strcmp(argv[i], "--require-sanitizer-skip") == 0) {
       require_sanitizer_skip = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -519,7 +613,7 @@ int Main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--smoke-sessions] "
-                   "[--smoke-coldkey] [--smoke-atomics] "
+                   "[--smoke-coldkey] [--smoke-atomics] [--query-sweep] "
                    "[--require-sanitizer-skip] [--out PATH]\n",
                    argv[0]);
       return 2;
@@ -606,6 +700,25 @@ int Main(int argc, char** argv) {
     }
     return 0;
 #endif
+  }
+  if (query_sweep) {
+    // Point-read gate: a read is one table probe on the owning writer, so
+    // 128x the keys may cost cache misses but nothing proportional to the
+    // shard — a read that copied its shard would grow ~100x over the same
+    // range.
+    const BackendCase bc{"CEH", SlidingWindowDecay::Create(4096).value(),
+                         Backend::kCeh};
+    std::vector<Row> rows;
+    const double ratio = RunQuerySweep(bc, smoke, &rows);
+    WriteJson(out, smoke ? "query_sweep_smoke" : "query_sweep", rows, 0.0);
+    std::printf("QueryKey p50 131k keys vs 1k keys: %.2fx\n", ratio);
+    if (ratio > 4.0) {
+      std::fprintf(stderr,
+                   "FAIL: query gate requires the 131k-key QueryKey p50 <= "
+                   "4x the 1k-key p50\n");
+      return 1;
+    }
+    return 0;
   }
   if (smoke_coldkey) {
     // Regression gate for the flat-layout rework: on the run-length-1
@@ -749,6 +862,9 @@ int Main(int argc, char** argv) {
                 row.sweep.c_str(), row.producers, combo.shards, row.seconds,
                 row.items_per_sec);
   }
+
+  // QueryKey latency vs live keys (recorded; --query-sweep gates it).
+  (void)RunQuerySweep(cases[0], smoke, &rows);
 
   WriteJson(out, smoke ? "smoke" : "full", rows, max_speedup);
   std::printf("max batch=4096 speedup over batch=1: %.2fx\n", max_speedup);

@@ -38,6 +38,13 @@ constexpr uint32_t kIdlePollRounds = 1024;
 constexpr std::chrono::nanoseconds kWriterParkSlice =
     std::chrono::milliseconds(4);
 
+/// One point read against a registry the caller has exclusive access to.
+double AnswerRead(AggregateRegistry& registry, bool total, uint64_t key,
+                  Tick now) {
+  return total ? registry.SyncedQueryTotal(now)
+               : registry.SyncedQuery(key, now);
+}
+
 }  // namespace
 
 ShardedAggregateEngine::ShardedAggregateEngine(const Options& options)
@@ -389,16 +396,16 @@ void ShardedAggregateEngine::WaitQueuesDrained() {
 void ShardedAggregateEngine::WakeWriter(Shard& shard) {
   // Dekker handshake with the writer's park sequence: callers publish
   // work with a seq_cst store/RMW (enqueued, snapshot_requested,
-  // command_requested, stop_) before this seq_cst load, and the writer
-  // stores writer_parked seq_cst before its seq_cst pre-park re-check of
-  // those same flags. In the single total order over seq_cst operations
-  // at least one side observes the other — either this load sees the
-  // writer parked (and notifies), or the writer's re-check sees the work
-  // (and skips the wait). Weaker orderings permit the store-buffer
-  // outcome where both read stale values and the work sits unnoticed for
-  // a whole park slice. seq_cst operations rather than fences because
-  // TSan does not model fences (and GCC rejects them under
-  // -fsanitize=thread).
+  // read_requested, command_requested, stop_) before this seq_cst load,
+  // and the writer stores writer_parked seq_cst before its seq_cst
+  // pre-park re-check of those same flags. In the single total order
+  // over seq_cst operations at least one side observes the other —
+  // either this load sees the writer parked (and notifies), or the
+  // writer's re-check sees the work (and skips the wait). Weaker
+  // orderings permit the store-buffer outcome where both read stale
+  // values and the work sits unnoticed for a whole park slice. seq_cst
+  // operations rather than fences because TSan does not model fences
+  // (and GCC rejects them under -fsanitize=thread).
   if (!shard.writer_parked.load(std::memory_order_seq_cst)) return;
   // Chaos point: the writer may un-park or re-park between our load and
   // the lock; the notify must stay correct either way.
@@ -490,6 +497,13 @@ void ShardedAggregateEngine::WriterLoop(Shard& shard) {
         shard.drain_cv.NotifyAll();
       }
     }
+    // Point reads between drain chunks. The relaxed load keeps the idle
+    // poll at its two RMWs: a stale false only defers the batch to the
+    // next poll, and the pre-park re-check below is seq_cst.
+    if (shard.read_requested.load(std::memory_order_relaxed) &&
+        shard.read_requested.exchange(false, std::memory_order_acq_rel)) {
+      ServeReads(shard);
+    }
     if (shard.snapshot_requested.exchange(false,
                                           std::memory_order_acq_rel)) {
       PublishSnapshot(shard);
@@ -524,6 +538,7 @@ void ShardedAggregateEngine::WriterLoop(Shard& shard) {
               shard.applied.load(std::memory_order_relaxed) &&
           !stop_.load(std::memory_order_seq_cst) &&
           !shard.snapshot_requested.load(std::memory_order_seq_cst) &&
+          !shard.read_requested.load(std::memory_order_seq_cst) &&
           !shard.command_requested.load(std::memory_order_seq_cst)) {
         (void)shard.wake_cv.WaitFor(shard.wake_mutex, kWriterParkSlice);
       }
@@ -537,11 +552,14 @@ void ShardedAggregateEngine::WriterLoop(Shard& shard) {
     idle_polls = idle_poll_rounds;
   }
   // Serve anything that raced shutdown: a pending command first (its poster
-  // is blocked on it), then a final publish so no snapshot reader hangs.
+  // is blocked on it), then a final publish so no snapshot reader hangs,
+  // then the pending reads — closing the read channel, so later readers
+  // answer from the registry this thread no longer touches.
   if (shard.command_requested.exchange(false, std::memory_order_acq_rel)) {
     RunPendingCommand(shard);
   }
   PublishSnapshot(shard);
+  CloseReads(shard);
   {
     MutexLock lock(shard.snapshot_mutex);
     shard.stopped = true;
@@ -566,37 +584,60 @@ void ShardedAggregateEngine::PublishSnapshot(Shard& shard) {
     MutexLock lock(shard.snapshot_mutex);
     serving = shard.tickets_issued;
   }
-  // Clone via the snapshot codec: everything applied before this point is
-  // in the clone, so any ticket issued before `serving` was read is served.
-  // The encode blob is retained alongside the clone — the merged-snapshot
-  // gather decodes from it without re-encoding.
+  // Everything applied before this point is in the blob, so any ticket
+  // issued before `serving` was read is served. Only the blob is
+  // published: readers decode it on their own threads (ShardSnapshot) or
+  // fold it into a merged view (Snapshot), so the writer pays the encode
+  // alone.
   //
-  // A codec failure (reachable only via failpoints; the encode/decode pair
-  // is self-inverse on any registry the audits admit) publishes a null
-  // snapshot: readers see "shard snapshot unavailable" / zero estimates
-  // for this publish, and the next request re-publishes from the intact
-  // registry — the shard keeps serving.
+  // An encode failure (reachable only via failpoints) publishes a null
+  // blob: readers see "shard snapshot unavailable" for this publish, and
+  // the next request re-publishes from the intact registry — the shard
+  // keeps serving.
   auto blob = std::make_shared<std::string>();
-  Status publish_status = shard.registry->EncodeState(blob.get());
-  std::shared_ptr<const AggregateRegistry> clone;
-  if (publish_status.ok()) {
-    auto decoded =
-        AggregateRegistry::Decode(decay_, options_.registry, *blob);
-    if (decoded.ok()) {
-      clone = std::make_shared<const AggregateRegistry>(
-          std::move(decoded).value());
-    } else {
-      publish_status = decoded.status();
-    }
-  }
-  if (!publish_status.ok()) blob = nullptr;
+  if (!shard.registry->EncodeState(blob.get()).ok()) blob = nullptr;
   {
     MutexLock lock(shard.snapshot_mutex);
-    shard.snapshot = std::move(clone);
     shard.snapshot_blob = std::move(blob);
     shard.tickets_served = std::max(shard.tickets_served, serving);
   }
   shard.snapshot_cv.NotifyAll();
+}
+
+void ShardedAggregateEngine::ServeReads(Shard& shard) {
+  std::vector<ReadRequest*> batch;
+  {
+    MutexLock lock(shard.read_mutex);
+    batch.swap(shard.reads);
+  }
+  // Answered outside the lock: a QueryTotal scan must not stall readers
+  // posting behind it. The requests are this thread's until marked done.
+  for (ReadRequest* request : batch) {
+    request->value = AnswerRead(*shard.registry, request->total,
+                                request->key, request->now);
+  }
+  {
+    MutexLock lock(shard.read_mutex);
+    for (ReadRequest* request : batch) request->done = true;
+  }
+  shard.read_cv.NotifyAll();
+}
+
+void ShardedAggregateEngine::CloseReads(Shard& shard) {
+  {
+    // Answered under the lock that closes the channel: no request can be
+    // left behind it, and late readers (who answer under the same lock)
+    // cannot touch the registry before this thread is done with it.
+    MutexLock lock(shard.read_mutex);
+    for (ReadRequest* request : shard.reads) {
+      request->value = AnswerRead(*shard.registry, request->total,
+                                  request->key, request->now);
+      request->done = true;
+    }
+    shard.reads.clear();
+    shard.reads_stopped = true;
+  }
+  shard.read_cv.NotifyAll();
 }
 
 void ShardedAggregateEngine::RunPendingCommand(Shard& shard) {
@@ -637,9 +678,8 @@ void ShardedAggregateEngine::RunOnWriterForTest(
   RunOnWriter(*shards_[shard], std::move(fn));
 }
 
-std::pair<std::shared_ptr<const AggregateRegistry>,
-          std::shared_ptr<const std::string>>
-ShardedAggregateEngine::TakeShardSnapshot(Shard& shard) {
+std::shared_ptr<const std::string> ShardedAggregateEngine::TakeShardSnapshot(
+    Shard& shard) {
   uint64_t ticket;
   {
     MutexLock lock(shard.snapshot_mutex);
@@ -651,13 +691,40 @@ ShardedAggregateEngine::TakeShardSnapshot(Shard& shard) {
   while (shard.tickets_served < ticket && !shard.stopped) {
     shard.snapshot_cv.Wait(shard.snapshot_mutex);
   }
-  return {shard.snapshot, shard.snapshot_blob};
+  return shard.snapshot_blob;
 }
 
 std::shared_ptr<const AggregateRegistry> ShardedAggregateEngine::ShardSnapshot(
     uint32_t shard_index) {
   TDS_CHECK_LT(shard_index, shards_.size());
-  return TakeShardSnapshot(*shards_[shard_index]).first;
+  const auto blob = TakeShardSnapshot(*shards_[shard_index]);
+  if (blob == nullptr) return nullptr;
+  auto decoded = AggregateRegistry::Decode(decay_, options_.registry, *blob);
+  if (!decoded.ok()) return nullptr;
+  return std::make_shared<const AggregateRegistry>(std::move(decoded).value());
+}
+
+void ShardedAggregateEngine::PostRead(Shard& shard, ReadRequest& request) {
+  {
+    MutexLock lock(shard.read_mutex);
+    if (shard.reads_stopped) {
+      // The writer has exited: its registry is quiescent, and holding
+      // read_mutex serializes this read against other late readers.
+      request.value = AnswerRead(*shard.registry, request.total, request.key,
+                                 request.now);
+      request.done = true;
+      return;
+    }
+    shard.reads.push_back(&request);
+  }
+  // seq_cst: the Dekker half of the park handshake (see WakeWriter).
+  shard.read_requested.store(true, std::memory_order_seq_cst);
+  WakeWriter(shard);
+}
+
+void ShardedAggregateEngine::AwaitRead(Shard& shard, ReadRequest& request) {
+  MutexLock lock(shard.read_mutex);
+  while (!request.done) shard.read_cv.Wait(shard.read_mutex);
 }
 
 StatusOr<MergedSnapshot> ShardedAggregateEngine::Snapshot() {
@@ -750,32 +817,40 @@ Status ShardedAggregateEngine::CaptureCheckpointDeltas(
 
 double ShardedAggregateEngine::QueryKey(uint64_t key, Tick now) {
   // The shared route lock pins the key's shard for the duration (a
-  // migration between the route read and the snapshot would serve a
-  // snapshot that no longer holds the key).
+  // migration between the route read and the answer would ask a shard
+  // that no longer holds the key).
   ReaderMutexLock route_lock(route_mutex_);
-  const auto table = CurrentRoute();
-  const uint32_t shard_index = table->shard_of_slice[SliceForKey(
-      key, static_cast<uint32_t>(table->shard_of_slice.size()))];
-  const auto snapshot = TakeShardSnapshot(*shards_[shard_index]).first;
-  if (snapshot == nullptr) return 0.0;
-  return snapshot->Query(key, std::max(now, snapshot->now()));
+  Shard& shard = *shards_[RouteForKey(key)];
+  ReadRequest request;
+  request.key = key;
+  request.now = now;
+  PostRead(shard, request);
+  AwaitRead(shard, request);
+  return request.value;
 }
 
 double ShardedAggregateEngine::QueryTotal(Tick now) {
+  // One route-table cut (as Snapshot()): no migration can move keys
+  // between two shards' scans. Every shard scans concurrently.
+  ReaderMutexLock route_lock(route_mutex_);
+  std::vector<ReadRequest> requests(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    requests[i].total = true;
+    requests[i].now = now;
+    PostRead(*shards_[i], requests[i]);
+  }
   double total = 0.0;
-  for (uint32_t i = 0; i < shards(); ++i) {
-    const auto snapshot = ShardSnapshot(i);
-    if (snapshot == nullptr) continue;
-    total += snapshot->QueryTotal(std::max(now, snapshot->now()));
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    AwaitRead(*shards_[i], requests[i]);
+    total += requests[i].value;
   }
   return total;
 }
 
-size_t ShardedAggregateEngine::KeyCount() {
+size_t ShardedAggregateEngine::KeyCount() const {
   size_t total = 0;
-  for (uint32_t i = 0; i < shards(); ++i) {
-    const auto snapshot = ShardSnapshot(i);
-    if (snapshot != nullptr) total += snapshot->KeyCount();
+  for (const auto& shard : shards_) {
+    total += shard->live_keys.load(std::memory_order_relaxed);
   }
   return total;
 }

@@ -59,11 +59,14 @@ struct ProducerSessionOptions {
 /// contracts but new in-tree callers are rejected by tools/tds_lint.py
 /// (rule deprecated-ingest).
 ///
-/// Readers never block writers: queries are served from immutable
-/// point-in-time registry snapshots (encode → decode clones) that the
-/// writer publishes on request. A snapshot requested after Flush() reflects
-/// every item ingested before the Flush. Snapshot() assembles one
-/// engine-wide MergedSnapshot from all shards at a single route-table cut.
+/// Reads: point reads (QueryKey, QueryTotal) are answered by the owning
+/// shard's writer between drain chunks — QueryKey is one table probe on
+/// the live registry, QueryTotal one scan per shard, neither copies state.
+/// Whole-state reads (ShardSnapshot, Snapshot) are served from the
+/// registry encode blob the writer publishes on request, decoded on the
+/// caller's thread. Either kind issued after Flush() reflects every item
+/// ingested before the Flush. Snapshot() assembles one engine-wide
+/// MergedSnapshot from all shards at a single route-table cut.
 ///
 /// Backpressure: when a shard's ring fills, producers escalate through the
 /// staged wait (spin → yield → CondVar park; see BackpressurePolicy) and
@@ -90,7 +93,7 @@ struct ProducerSessionOptions {
 /// method TDS_REQUIRES, so `tools/check.sh thread-safety` (clang,
 /// -Werror=thread-safety) proves the rules hold on every path. route_mutex_
 /// is now control-plane only (migrations exclusive; snapshot gathers and
-/// per-key reads shared) — producers never touch it. See util/mutex.h for
+/// point reads shared) — producers never touch it. See util/mutex.h for
 /// the annotated lock types and docs/CORRECTNESS.md for how to annotate
 /// new guarded state.
 ///
@@ -181,9 +184,9 @@ class ShardedAggregateEngine {
 
   /// Drains every queue, stops the writer threads, and joins them.
   /// Idempotent. After Stop() the ingest surface returns
-  /// kFailedPrecondition (never blocks), while queries keep serving the
-  /// final published snapshots. Items still staged in live sessions are
-  /// not drained — flush sessions first.
+  /// kFailedPrecondition (never blocks), while point reads keep serving
+  /// the final state and snapshots the final published blob. Items still
+  /// staged in live sessions are not drained — flush sessions first.
   void Stop() TDS_EXCLUDES(route_mutex_);
 
   /// Opens a producer session — the preferred (and fastest) ingest
@@ -224,9 +227,10 @@ class ShardedAggregateEngine {
   /// session Flush() first.
   Status Flush();
 
-  /// Fresh immutable snapshot of one shard's registry, published by the
-  /// shard's writer without blocking ingestion. The snapshot reflects at
-  /// least everything applied before this call began.
+  /// Fresh immutable copy of one shard's registry: the shard's writer
+  /// publishes an encode blob between drain chunks, and this call decodes
+  /// it on the caller's thread. Reflects at least everything applied
+  /// before this call began; null if the encode or the decode failed.
   std::shared_ptr<const AggregateRegistry> ShardSnapshot(uint32_t shard);
 
   /// One engine-wide merged view at a single route-table cut: per-shard
@@ -235,16 +239,21 @@ class ShardedAggregateEngine {
   /// MergedSnapshot whose cut tick is the max shard clock captured.
   StatusOr<MergedSnapshot> Snapshot() TDS_EXCLUDES(route_mutex_);
 
-  /// Decayed sum for `key` via a fresh snapshot of its owning shard.
-  /// Evaluated at max(now, snapshot clock) — a caller's clock may lag the
-  /// stream's.
+  /// Decayed sum for `key`, answered by its owning shard's writer as one
+  /// table probe on the live registry (no copy). Evaluated at max(now,
+  /// shard clock) — a caller's clock may lag the stream's — and equal to
+  /// what a ShardSnapshot taken at the same point would return. After
+  /// Stop() it reads the final state directly.
   double QueryKey(uint64_t key, Tick now) TDS_EXCLUDES(route_mutex_);
 
-  /// Sum over all shards, each via a fresh snapshot at max(now, its clock).
-  double QueryTotal(Tick now);
+  /// Sum over all shards, each answered by its writer as one scan of the
+  /// live registry at max(now, its clock).
+  double QueryTotal(Tick now) TDS_EXCLUDES(route_mutex_);
 
-  /// Total live keys across all shards (via fresh snapshots).
-  size_t KeyCount();
+  /// Total live keys across all shards, summed from the writer-maintained
+  /// occupancy mirrors (exact after a Flush(), approximate while ingest is
+  /// running — the same contract as Stats()).
+  size_t KeyCount() const;
 
   /// Per-shard occupancy stats (the rebalance trigger's inputs).
   std::vector<ShardStats> Stats() const;
@@ -358,6 +367,20 @@ class ShardedAggregateEngine {
     bool stalled = false;
   };
 
+  /// One point read posted to a shard's read channel. Lives on the
+  /// reader's stack until `done`. The writer fills `value`, then sets
+  /// `done` under the shard's read_mutex — the lock the reader waits
+  /// under, so it orders the value before the reader's wake. (The guard
+  /// is another object's mutex, which Clang TSA cannot name, so the
+  /// fields are unannotated.)
+  struct ReadRequest {
+    bool total = false;  ///< QueryTotal's shard scan instead of one key
+    uint64_t key = 0;
+    Tick now = 0;
+    double value = 0.0;
+    bool done = false;
+  };
+
   struct Shard {
     explicit Shard(size_t queue_capacity) : queue(queue_capacity) {}
 
@@ -382,8 +405,8 @@ class ShardedAggregateEngine {
     Atomic<uint32_t> drain_waiters{0};
 
     /// Writer-idle parking: the writer parks in bounded slices when it has
-    /// nothing to do; producers, snapshot requesters, command posters, and
-    /// Stop() wake it through WakeWriter().
+    /// nothing to do; producers, snapshot and read requesters, command
+    /// posters, and Stop() wake it through WakeWriter().
     Mutex wake_mutex;
     CondVar wake_cv;
     Atomic<bool> writer_parked{false};
@@ -410,18 +433,30 @@ class ShardedAggregateEngine {
     Atomic<uint64_t> arena_extent{0};
 
     /// Snapshot ticket channel: readers post a ticket and block; the
-    /// writer publishes a clone and serves every ticket issued before the
-    /// publish began.
+    /// writer publishes its registry's encode blob (null if the encode
+    /// failed) and serves every ticket issued before the encode began.
+    /// Readers decode the blob on their own threads.
     Mutex snapshot_mutex;
     CondVar snapshot_cv;
     Atomic<bool> snapshot_requested{false};
-    std::shared_ptr<const AggregateRegistry> snapshot
-        TDS_GUARDED_BY(snapshot_mutex);
     std::shared_ptr<const std::string> snapshot_blob
         TDS_GUARDED_BY(snapshot_mutex);
     uint64_t tickets_issued TDS_GUARDED_BY(snapshot_mutex) = 0;
     uint64_t tickets_served TDS_GUARDED_BY(snapshot_mutex) = 0;
     bool stopped TDS_GUARDED_BY(snapshot_mutex) = false;
+
+    /// Point-read channel: readers append a request and block; between
+    /// drain chunks the writer swaps the whole batch out, answers it
+    /// against the live registry, marks it done and notifies once. On
+    /// exit the writer serves what is pending and sets `reads_stopped`;
+    /// later readers answer from the quiescent registry themselves,
+    /// serialized by read_mutex (which also orders them after the
+    /// writer's last mutation).
+    Mutex read_mutex;
+    CondVar read_cv;
+    Atomic<bool> read_requested{false};
+    std::vector<ReadRequest*> reads TDS_GUARDED_BY(read_mutex);
+    bool reads_stopped TDS_GUARDED_BY(read_mutex) = false;
 
     /// Writer-command channel (migrations): the registry must only ever be
     /// touched from its writer thread, so cross-shard moves post closures
@@ -443,11 +478,23 @@ class ShardedAggregateEngine {
   void RunPendingCommand(Shard& shard);
   void UpdateStats(Shard& shard);
 
+  /// Writer side of the read channel: answers every pending request
+  /// against the live registry and wakes their readers. CloseReads is the
+  /// writer's exit path: it answers what is pending and closes the
+  /// channel, so later readers answer in PostRead.
+  void ServeReads(Shard& shard);
+  void CloseReads(Shard& shard);
+
+  /// Reader side: PostRead appends `request` to the shard's read channel
+  /// (or, once the channel is closed, answers it in place); AwaitRead
+  /// blocks until it is done. Split so QueryTotal can post to every shard
+  /// before waiting on any.
+  void PostRead(Shard& shard, ReadRequest& request);
+  void AwaitRead(Shard& shard, ReadRequest& request);
+
   /// Issues a snapshot ticket and blocks until the writer serves it;
-  /// returns the published registry clone and its encode blob.
-  std::pair<std::shared_ptr<const AggregateRegistry>,
-            std::shared_ptr<const std::string>>
-  TakeShardSnapshot(Shard& shard);
+  /// returns the published encode blob (null if that encode failed).
+  std::shared_ptr<const std::string> TakeShardSnapshot(Shard& shard);
 
   /// Runs `fn` against the shard's registry on the shard's writer thread
   /// and waits for completion. Callers must hold the route lock (shared
@@ -547,7 +594,7 @@ class ShardedAggregateEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Control-plane lock: migrations/Stop/Restore hold it exclusive;
-  /// snapshot gathers, per-key reads, and the writer-command test hook
+  /// snapshot gathers, point reads, and the writer-command test hook
   /// hold it shared. Producers never take it.
   mutable SharedMutex route_mutex_;
 

@@ -552,6 +552,21 @@ double AggregateRegistry::QueryTotal(Tick now) const {
   return total;
 }
 
+double AggregateRegistry::SyncedQuery(uint64_t key, Tick now) {
+  const uint32_t index = Find(key);
+  if (index == SlotArena<Slot>::kNone) return 0.0;
+  DecayedAggregate* aggregate = arena_.at(index).aggregate.get();
+  if (layout_ != nullptr) {
+    static_cast<WbmhDecayedSum*>(aggregate)->SyncShared();
+  }
+  return aggregate->Query(std::max(now, now_));
+}
+
+double AggregateRegistry::SyncedQueryTotal(Tick now) {
+  if (layout_ != nullptr) SyncAllCounters();
+  return QueryTotal(std::max(now, now_));
+}
+
 bool AggregateRegistry::Contains(uint64_t key) const {
   return Find(key) != SlotArena<Slot>::kNone;
 }

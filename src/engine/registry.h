@@ -105,6 +105,16 @@ class AggregateRegistry {
   /// Sum of all keys' decayed sums at `now` (>= now()).
   double QueryTotal(Tick now) const;
 
+  /// The live-registry reads behind the engine's point reads: Query /
+  /// QueryTotal at max(now, now()), equal to what the same call returns on
+  /// a codec clone (Decode of EncodeState). For WBMH the read counters are
+  /// synced to the shared layout first — the logical no-op EncodeState
+  /// performs — because an unsynced counter's estimate replays pending
+  /// merges without re-rounding. SyncedQuery syncs one key's counter,
+  /// SyncedQueryTotal all of them. Exclusive access, like Update.
+  double SyncedQuery(uint64_t key, Tick now);
+  double SyncedQueryTotal(Tick now);
+
   bool Contains(uint64_t key) const;
 
   /// Calls f(key, last_tick, const DecayedAggregate&) for every live key,

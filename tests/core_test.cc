@@ -1,5 +1,6 @@
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -170,6 +171,10 @@ struct CehParam {
   double density;
   uint64_t seed;
 };
+
+// Print the case by name: the default byte dump includes the `name`
+// pointer, which varies from run to run and so gives unstable test names.
+void PrintTo(const CehParam& param, std::ostream* os) { *os << param.name; }
 
 class CehSliwinTest : public ::testing::TestWithParam<CehParam> {};
 

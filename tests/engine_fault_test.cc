@@ -95,12 +95,16 @@ class EngineFaultTest : public ::testing::Test {
 TEST_F(EngineFaultTest, EncodeFailurePublishesNullAndRecovers) {
   Fixture fx = MakeEngine(Backend::kCeh, SlidingWindowDecay::Create(512).value());
   failpoint::Arm("registry.encode", {.fire_on_hit = 1, .sticky = true});
-  // Per-key queries see a null snapshot (zero estimate), the merged
-  // snapshot reports a clean failure — and nothing crashes or hangs.
-  EXPECT_DOUBLE_EQ(fx.engine->QueryKey(3, fx.tick), 0.0);
+  // Point reads never touch the codec, so they keep serving the exact
+  // value through the outage; the merged snapshot (whose shard blobs the
+  // failing encode produces) reports a clean failure — and nothing
+  // crashes or hangs.
+  EXPECT_DOUBLE_EQ(fx.engine->QueryKey(3, fx.tick), fx.expected[3]);
   auto merged = fx.engine->Snapshot();
   EXPECT_FALSE(merged.ok());
+  EXPECT_EQ(fx.engine->ShardSnapshot(0), nullptr);
   EXPECT_GE(failpoint::Fires("registry.encode"), 1u);
+  ExpectServesExpected(fx);
   // Ingest keeps working through the outage (publishes are the only
   // casualty), and everything recovers once the fault clears.
   EXPECT_TRUE(SessionIngest(*fx.engine, 3, fx.tick, 0).ok());
@@ -113,8 +117,12 @@ TEST_F(EngineFaultTest, EncodeFailurePublishesNullAndRecovers) {
 TEST_F(EngineFaultTest, DecodeFailurePublishesNullAndRecovers) {
   Fixture fx = MakeEngine(Backend::kWbmh, PolynomialDecay::Create(1.0).value());
   failpoint::Arm("registry.decode", {.fire_on_hit = 1, .sticky = true});
-  EXPECT_DOUBLE_EQ(fx.engine->QueryKey(3, fx.tick), 0.0);
+  // The decode runs on the reader's thread: point reads (no codec)
+  // serve exact values, snapshot readers fail cleanly.
+  EXPECT_DOUBLE_EQ(fx.engine->QueryKey(3, fx.tick), fx.expected[3]);
   EXPECT_FALSE(fx.engine->Snapshot().ok());
+  EXPECT_EQ(fx.engine->ShardSnapshot(0), nullptr);
+  ExpectServesExpected(fx);
   failpoint::DisarmAll();
   ExpectServesExpected(fx);
   ExpectAuditClean(fx);
@@ -122,8 +130,8 @@ TEST_F(EngineFaultTest, DecodeFailurePublishesNullAndRecovers) {
 
 TEST_F(EngineFaultTest, TransientDecodeFailureAffectsOneShardOnly) {
   Fixture fx = MakeEngine(Backend::kCeh, SlidingWindowDecay::Create(512).value());
-  // Fire on the first decode only: one shard publishes a null snapshot,
-  // the other shards' publishes (later decode hits) keep serving.
+  // Fire on the first decode only: the first ShardSnapshot's caller-side
+  // decode fails (null), the later ones (later decode hits) succeed.
   failpoint::ArmNthHit("registry.decode", 1);
   size_t null_snapshots = 0;
   for (uint32_t shard = 0; shard < fx.engine->shards(); ++shard) {

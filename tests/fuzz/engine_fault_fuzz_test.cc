@@ -122,8 +122,8 @@ FaultFuzzCoverage RunEngineFaultFuzz(const DecayPtr& decay, Backend backend,
       // account for (partial admission lands in items_rejected).
       submitted += size;
     } else if (kind < 9) {
-      // Queries against possibly-null published snapshots: any double
-      // is fine, crashing or hanging is not.
+      // Point reads under faults (they bypass the codec): any double is
+      // fine, crashing or hanging is not.
       (void)engine.QueryKey(in.Below(kKeySpace), t);
       (void)engine.KeyCount();
     } else if (kind == 9) {

@@ -8,6 +8,15 @@
 // shard registry, and after every snapshot op a byte-for-byte comparison
 // of the merged registry blob against a serially-fed reference (expiry is
 // disabled, so bookkeeping never becomes arithmetic).
+//
+// A real ShardedAggregateEngine with the model's shard count and route
+// table runs alongside: it receives the same ingest batches (through a
+// producer session) and the same migrations (MigrateSlices), and a read
+// op checks its point reads — after a Flush, QueryKey on random keys,
+// QueryTotal and KeyCount must equal the serial reference. Its answers
+// are a deterministic function of the input bytes, however its writer
+// threads interleave.
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -19,6 +28,7 @@
 #include "decay/sliding_window.h"
 #include "engine/engine.h"
 #include "engine/merged_snapshot.h"
+#include "engine/producer_session.h"
 #include "engine/registry.h"
 #include "fuzz_util.h"
 #include "util/common.h"
@@ -51,7 +61,19 @@ std::string MustEncode(AggregateRegistry& registry, const FuzzInput& in) {
 struct MergeFuzzCoverage {
   uint64_t migrations = 0;
   uint64_t snapshots = 0;
+  uint64_t reads = 0;
 };
+
+/// Feeds one batch to the engine through a one-shot session.
+void EngineIngest(ShardedAggregateEngine& engine,
+                  std::span<const KeyedItem> items, const FuzzInput& in) {
+  ProducerSessionOptions session_options;
+  session_options.staging_capacity = items.size() + 1;
+  auto session = engine.NewProducer(session_options);
+  TDS_FUZZ_CHECK(session.ok(), in, session.status().ToString());
+  TDS_FUZZ_CHECK_OK((*session)->AddBatch(items), in, "AddBatch");
+  TDS_FUZZ_CHECK_OK((*session)->Flush(), in, "session Flush");
+}
 
 MergeFuzzCoverage RunEngineMergeFuzz(const DecayPtr& decay, Backend backend,
                                      int max_ops, FuzzInput& in) {
@@ -69,6 +91,15 @@ MergeFuzzCoverage RunEngineMergeFuzz(const DecayPtr& decay, Backend backend,
   for (uint32_t s = 0; s < kSlices; ++s) route[s] = s % kShards;
   auto reference = AggregateRegistry::Create(decay, options);
   TDS_FUZZ_CHECK(reference.ok(), in, reference.status().ToString());
+  // The real engine: same shard count and slice count, hence the same
+  // initial round-robin route as `route` above.
+  ShardedAggregateEngine::Options engine_options;
+  engine_options.registry = options;
+  engine_options.shards = kShards;
+  engine_options.route_slices = kSlices;
+  engine_options.queue_capacity = 1 << 10;
+  auto engine = ShardedAggregateEngine::Create(decay, engine_options);
+  TDS_FUZZ_CHECK(engine.ok(), in, engine.status().ToString());
 
   const auto audit_all = [&](int op) {
     for (uint32_t s = 0; s < kShards; ++s) {
@@ -81,24 +112,30 @@ MergeFuzzCoverage RunEngineMergeFuzz(const DecayPtr& decay, Backend backend,
   Tick t = 1;
   MergeFuzzCoverage coverage;
   for (int op = 0; op < max_ops && !in.exhausted(); ++op) {
-    const uint64_t kind = in.Below(10);
+    const uint64_t kind = in.Below(11);
     if (kind < 6) {
       // Routed ingest batch, globally tick-ordered (the rebalance
       // precondition), per-shard via the batch path.
       const size_t size = 1 + in.Below(60);
       std::vector<std::vector<KeyedItem>> per_shard(kShards);
+      std::vector<KeyedItem> batch;
       for (size_t i = 0; i < size; ++i) {
         if (in.Below(4) == 0) t += in.Below(4);
         const uint64_t key = in.Below(kKeySpace);
-        const uint64_t value = in.Below(6);
+        // Mostly small values, with heavy ones mixed in so merged WBMH
+        // counts outgrow the rounded counters' mantissa and re-round.
+        const uint64_t value =
+            in.Below(8) == 0 ? in.Below(4096) : in.Below(6);
         const uint32_t slice =
             ShardedAggregateEngine::SliceForKey(key, kSlices);
         per_shard[route[slice]].push_back(KeyedItem{key, t, value});
+        batch.push_back(KeyedItem{key, t, value});
         reference->Update(key, t, value);
       }
       for (uint32_t s = 0; s < kShards; ++s) {
         if (!per_shard[s].empty()) shards[s].UpdateBatch(per_shard[s]);
       }
+      EngineIngest(**engine, batch, in);
     } else if (kind < 8) {
       // Migration: move a random run of slices to a random shard, the
       // same ExtractIf -> MergeFrom protocol the engine runs on its
@@ -108,13 +145,17 @@ MergeFuzzCoverage RunEngineMergeFuzz(const DecayPtr& decay, Backend backend,
       const uint32_t count = 1 + static_cast<uint32_t>(in.Below(6));
       std::vector<uint8_t> member(kSlices, 0);
       std::vector<uint8_t> donor(kShards, 0);
+      std::vector<uint32_t> slices;
       for (uint32_t i = 0; i < count; ++i) {
         const uint32_t slice = (first + i) % kSlices;
+        slices.push_back(slice);
         if (route[slice] == to) continue;
         member[slice] = 1;
         donor[route[slice]] = 1;
         route[slice] = to;
       }
+      TDS_FUZZ_CHECK_OK((*engine)->MigrateSlices(slices, to), in,
+                        "engine MigrateSlices");
       for (uint32_t from = 0; from < kShards; ++from) {
         if (!donor[from]) continue;
         auto extracted = shards[from].ExtractIf([&](uint64_t key) {
@@ -146,6 +187,45 @@ MergeFuzzCoverage RunEngineMergeFuzz(const DecayPtr& decay, Backend backend,
       TDS_FUZZ_CHECK(merged_blob == MustEncode(*reference, in), in,
                      "merged blob diverged from serial reference, op=", op);
       ++coverage.snapshots;
+    } else if (kind == 10) {
+      // Point reads on the engine. First one zero-valued item at the
+      // current tick on every shard that owns a key (mirrored into the
+      // model and the reference): WBMH evaluates a key against its
+      // shard's shared layout, so shard clocks must agree with the
+      // reference's before reads can match it exactly.
+      std::vector<KeyedItem> align;
+      std::vector<uint8_t> aligned(kShards, 0);
+      for (uint64_t key = 0; key < kKeySpace; ++key) {
+        const uint32_t s =
+            route[ShardedAggregateEngine::SliceForKey(key, kSlices)];
+        if (aligned[s]) continue;
+        aligned[s] = 1;
+        align.push_back(KeyedItem{key, t, 0});
+        shards[s].UpdateBatch({&align.back(), 1});
+        reference->Update(key, t, 0);
+      }
+      EngineIngest(**engine, align, in);
+      TDS_FUZZ_CHECK_OK((*engine)->Flush(), in, "engine Flush");
+      const Tick now = t + static_cast<Tick>(in.Below(8));
+      const size_t reads = 1 + in.Below(8);
+      for (size_t r = 0; r < reads; ++r) {
+        const uint64_t key = in.Below(kKeySpace + 4);  // some never live
+        const double served = (*engine)->QueryKey(key, now);
+        const double expected = reference->SyncedQuery(key, now);
+        TDS_FUZZ_CHECK(served == expected, in, "QueryKey(", key, ") = ",
+                       served, ", reference ", expected, " op=", op);
+      }
+      // Shards sum in their own order, so the total may differ from the
+      // reference's single scan in the last bits only.
+      const double total = (*engine)->QueryTotal(now);
+      const double expected_total = reference->SyncedQueryTotal(now);
+      TDS_FUZZ_CHECK(std::abs(total - expected_total) <=
+                         1e-9 * std::abs(expected_total),
+                     in, "QueryTotal ", total, ", reference ", expected_total,
+                     " op=", op);
+      TDS_FUZZ_CHECK((*engine)->KeyCount() == reference->KeyCount(), in,
+                     "KeyCount mismatch op=", op);
+      ++coverage.reads;
     } else {
       // Merged-snapshot codec round-trip: decode then re-encode must
       // be byte-identical, and the inner registry re-audits on decode.
@@ -172,7 +252,17 @@ MergeFuzzCoverage RunEngineMergeFuzz(const DecayPtr& decay, Backend backend,
     }
     audit_all(op);
   }
-  // Final differential: fold the real registries and compare.
+  // Final differentials: the engine's merged snapshot and the folded
+  // model registries both byte-equal the reference.
+  TDS_FUZZ_CHECK_OK((*engine)->Flush(), in, "final engine Flush");
+  auto engine_merged = (*engine)->Snapshot();
+  TDS_FUZZ_CHECK(engine_merged.ok(), in,
+                 "engine Snapshot: ", engine_merged.status().ToString());
+  std::string engine_blob;
+  TDS_FUZZ_CHECK_OK(engine_merged->EncodeRegistryState(&engine_blob), in,
+                    "engine final");
+  TDS_FUZZ_CHECK(engine_blob == MustEncode(*reference, in), in,
+                 "engine merged blob diverged from serial reference");
   auto merged = MergedSnapshot::FromShards(std::move(shards));
   TDS_FUZZ_CHECK(merged.ok(), in,
                  "final FromShards: ", merged.status().ToString());
@@ -214,6 +304,7 @@ TEST(EngineMergeFuzzTest, ShardedMergeMatchesSerialUnderFuzzedInterleavings) {
       // Every run must actually exercise the machinery under test.
       EXPECT_GT(coverage.migrations, 0u);
       EXPECT_GT(coverage.snapshots, 0u);
+      EXPECT_GT(coverage.reads, 0u);
     }
   }
 }

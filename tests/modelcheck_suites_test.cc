@@ -7,13 +7,15 @@
 //   1. SpscRing FIFO (including cursor wraparound at 2^32 and 2^64),
 //   2. RCU route publish vs concurrent routing (PublishRoute/CurrentRoute),
 //   3. the park/wake Dekker handshake (WakeWriter vs the writer's
-//      park sequence) and its documented missed-wake bound,
+//      park sequence, with both a producer and a point reader posting)
+//      and its documented missed-wake bound,
 //   4. stop-vs-ingest termination (the flush fence quiescence protocol).
 //
 // Each correct protocol must explore its space without a failure; each
 // deliberately seeded bug (dropped release on the route publish, demoted
-// Dekker orders under TSO, a forgotten quiescence wake, stop published
-// only after the fence drops) must be caught. The suites together must
+// Dekker orders under TSO, a relaxed read-request publish, a forgotten
+// quiescence wake, stop published only after the fence drops) must be
+// caught. The suites together must
 // enumerate at least 10,000 interleavings (the PR's acceptance floor);
 // CoverageFloor tops the count up with seeded-random ring schedules if the
 // DFS spaces come in under it.
@@ -191,34 +193,44 @@ TEST(RoutePublishSuite, DroppedReleaseOnPublishIsCaught) {
 // Suite 3: the park/wake Dekker handshake (WakeWriter vs WriterLoop's park
 // sequence), under TSO store buffering.
 //
-// Producer: publish work (seq_cst RMW on `enqueued`), then load
-// `writer_parked` and wake if set. Writer: store `writer_parked`
-// (seq_cst), then re-check `enqueued` before parking; the re-check-to-wait
-// window is closed by the eventcount Gate, which models the engine's
-// notify-under-mutex (WakeWriter locks wake_mutex before NotifyAll).
+// Two posters, as in the engine: a producer publishes work (seq_cst RMW on
+// `enqueued`) and a point reader publishes a read request (seq_cst store
+// of `read_requested`, after appending to the read list under its mutex,
+// which the model leaves out); each then loads `writer_parked` and wakes
+// if set. Writer: consume what is visible, and when something is still
+// outstanding store `writer_parked` (seq_cst) and re-check both flags
+// before parking; the re-check-to-wait window is closed by the eventcount
+// Gate, which models the engine's notify-under-mutex (WakeWriter locks
+// wake_mutex before NotifyAll).
 //
-// With seq_cst on both sides, the seq_cst total order guarantees at least
-// one side sees the other — no interleaving deadlocks. Demoting the
-// handshake to relaxed under TSO admits the store-buffer outcome: both
-// sides read stale values, the wake is skipped, and the writer parks with
-// work pending. The engine bounds that stall at one kWriterParkSlice; the
-// model parks unboundedly, so the same outcome surfaces as a detected
-// deadlock — which is exactly the documented missed-wake bound made
-// checkable.
+// With seq_cst on both sides of each pairing, the seq_cst total order
+// guarantees at least one side sees the other — no interleaving
+// deadlocks. Demoting a poster's publish to relaxed under TSO admits the
+// store-buffer outcome: the publish sits in the poster's buffer while it
+// reads a stale `writer_parked`, the wake is skipped, and the writer's
+// re-check misses the buffered publish and parks with work pending. The
+// engine bounds that stall at one kWriterParkSlice; the model parks
+// unboundedly, so the same outcome surfaces as a detected deadlock —
+// which is exactly the documented missed-wake bound made checkable.
 // ---------------------------------------------------------------------------
 
 struct ParkModel {
   Atomic<uint64_t> enqueued{0};
+  Atomic<bool> read_requested{false};
   Atomic<bool> writer_parked{false};
   Gate wake;
 };
 
-Result ExploreParkWake(std::memory_order handshake_order) {
+/// `handshake_order` is used by the producer's publish and probe and by
+/// the writer's park announcement and re-check; `read_order` by the
+/// reader's publish alone.
+Result ExploreParkWake(std::memory_order handshake_order,
+                       std::memory_order read_order) {
   Options opts;
   opts.mode = Options::Mode::kDfs;
   opts.max_schedules = 20000;
   opts.tso = true;  // the store-buffer outcome is the whole point
-  return Record(Explore(opts, [handshake_order](McRun& run) {
+  return Record(Explore(opts, [handshake_order, read_order](McRun& run) {
     auto model = std::make_unique<ParkModel>();
     ParkModel* m = model.get();
     run.Spawn([m, handshake_order] {
@@ -226,15 +238,34 @@ Result ExploreParkWake(std::memory_order handshake_order) {
       m->enqueued.fetch_add(1, handshake_order);
       if (m->writer_parked.load(handshake_order)) m->wake.Wake();
     });
+    run.Spawn([m, handshake_order, read_order] {
+      // PostRead: publish the request, then the WakeWriter probe.
+      m->read_requested.store(true, read_order);
+      if (m->writer_parked.load(handshake_order)) m->wake.Wake();
+    });
     run.Spawn([m, handshake_order] {
-      // WriterLoop idle path: announce the park, then re-check under the
-      // (modeled) wake mutex before committing to the wait.
-      m->writer_parked.store(true, handshake_order);
-      const uint64_t epoch = m->wake.PrepareWait();
-      if (m->enqueued.load(handshake_order) == 0) {
-        m->wake.CommitWait(epoch);
+      // WriterLoop: drain what is visible (the read flag through its
+      // relaxed pre-check, then the exchange), and park only after the
+      // announce + re-check under the (modeled) wake mutex.
+      uint64_t applied = 0;
+      bool served = false;
+      while (true) {
+        if (m->enqueued.load(std::memory_order_acquire) > applied) {
+          applied = 1;
+        }
+        if (m->read_requested.load(std::memory_order_relaxed) &&
+            m->read_requested.exchange(false, std::memory_order_acq_rel)) {
+          served = true;
+        }
+        if (applied == 1 && served) break;
+        m->writer_parked.store(true, handshake_order);
+        const uint64_t epoch = m->wake.PrepareWait();
+        if (m->enqueued.load(handshake_order) == applied &&
+            !m->read_requested.load(handshake_order)) {
+          m->wake.CommitWait(epoch);
+        }
+        m->writer_parked.store(false, std::memory_order_relaxed);
       }
-      m->writer_parked.store(false, std::memory_order_relaxed);
       MC_CHECK(m->enqueued.load(std::memory_order_seq_cst) == 1);
     });
     run.Await();
@@ -242,7 +273,8 @@ Result ExploreParkWake(std::memory_order handshake_order) {
 }
 
 TEST(ParkWakeSuite, SeqCstHandshakeNeverMissesTheWake) {
-  const Result result = ExploreParkWake(std::memory_order_seq_cst);
+  const Result result =
+      ExploreParkWake(std::memory_order_seq_cst, std::memory_order_seq_cst);
   EXPECT_FALSE(result.failed) << result.failure;
   EXPECT_TRUE(result.exhausted);
 }
@@ -251,7 +283,21 @@ TEST(ParkWakeSuite, DemotedHandshakeDeadlocksUnderTso) {
   // The seeded bug: both Dekker sides relaxed. TSO buffers the writer's
   // parked flag; producer reads stale false and skips the wake; writer
   // reads stale zero and parks — a missed wake past the documented bound.
-  const Result result = ExploreParkWake(std::memory_order_relaxed);
+  const Result result =
+      ExploreParkWake(std::memory_order_relaxed, std::memory_order_relaxed);
+  ASSERT_TRUE(result.failed);
+  EXPECT_NE(result.failure.find("deadlock"), std::string::npos)
+      << result.failure;
+}
+
+TEST(ParkWakeSuite, RelaxedReadRequestStoreDeadlocksUnderTso) {
+  // The seeded bug on the read channel alone: every other operation stays
+  // seq_cst, but PostRead publishes `read_requested` relaxed. The store
+  // sits in the reader's buffer while its probe reads a stale
+  // `writer_parked`; the writer's re-check misses the buffered request
+  // and parks with a reader blocked on it.
+  const Result result =
+      ExploreParkWake(std::memory_order_seq_cst, std::memory_order_relaxed);
   ASSERT_TRUE(result.failed);
   EXPECT_NE(result.failure.find("deadlock"), std::string::npos)
       << result.failure;
