@@ -18,9 +18,6 @@
 //                     >= 2x; prints a SKIPPED banner and exits 0 on hosts
 //                     with < 8 cores (the ratio is meaningless without
 //                     real parallelism)
-//   --smoke-coldkey   flat-layout gate only: on a run-length-1 shuffled
-//                     cold-key stream the flat (SoA) histogram layout must
-//                     ingest >= 0.9x the legacy chain layout
 //   --smoke-atomics   wrapper-parity gate only: a tds::Atomic SpscRing must
 //                     hold >= 0.95x the throughput of a raw std::atomic
 //                     twin, proving the -DTDS_MODELCHECK=OFF wrappers are
@@ -257,19 +254,17 @@ Row RunBatchCase(const BackendCase& bc, const std::vector<KeyedItem>& stream,
   return row;
 }
 
-/// Flat-vs-chain (and prefetch on/off) over the cold-key stream: same
-/// registry path as RunBatchCase, with the layout and prefetch knobs
-/// exposed. `label` lands in the JSON so the sweep rows are self-describing
-/// ("CEH-flat", "CEH-flat-nopf", "CEH-chain").
+/// Prefetch on/off over the cold-key stream: same registry path as
+/// RunBatchCase, with the prefetch knob exposed. `label` lands in the JSON
+/// so the sweep rows are self-describing ("CEH-flat", "CEH-flat-nopf").
 Row RunColdKeyCase(const std::string& label, const DecayPtr& decay,
-                   Backend backend, HistogramLayout layout, bool prefetch,
+                   Backend backend, bool prefetch,
                    const std::vector<KeyedItem>& stream, size_t key_space,
                    size_t batch) {
   AggregateRegistry::Options options;
   options.aggregate = AggregateOptions::Builder()
                           .backend(backend)
                           .epsilon(0.1)
-                          .layout(layout)
                           .Build()
                           .value();
   options.prefetch = prefetch;
@@ -590,7 +585,6 @@ void WriteJson(const std::string& path, const std::string& mode,
 int Main(int argc, char** argv) {
   bool smoke = false;
   bool smoke_sessions = false;
-  bool smoke_coldkey = false;
   bool smoke_atomics = false;
   bool query_sweep = false;
   bool require_sanitizer_skip = false;
@@ -600,8 +594,6 @@ int Main(int argc, char** argv) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--smoke-sessions") == 0) {
       smoke_sessions = true;
-    } else if (std::strcmp(argv[i], "--smoke-coldkey") == 0) {
-      smoke_coldkey = true;
     } else if (std::strcmp(argv[i], "--smoke-atomics") == 0) {
       smoke_atomics = true;
     } else if (std::strcmp(argv[i], "--query-sweep") == 0) {
@@ -613,7 +605,7 @@ int Main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--smoke-sessions] "
-                   "[--smoke-coldkey] [--smoke-atomics] [--query-sweep] "
+                   "[--smoke-atomics] [--query-sweep] "
                    "[--require-sanitizer-skip] [--out PATH]\n",
                    argv[0]);
       return 2;
@@ -720,36 +712,6 @@ int Main(int argc, char** argv) {
     }
     return 0;
   }
-  if (smoke_coldkey) {
-    // Regression gate for the flat-layout rework: on the run-length-1
-    // cold-key workload the flat layout (with prefetching) must not fall
-    // behind the legacy chain layout. A conservative 0.9x floor keeps the
-    // gate robust against scheduler noise while still catching a layout
-    // that tanks the hot path; the full bench records the actual win.
-    const size_t gate_items = 1 << 18;
-    const size_t gate_keys = 1 << 15;
-    const std::vector<KeyedItem> gate_stream =
-        MakeColdStream(gate_items, gate_keys, 47);
-    const DecayPtr decay = SlidingWindowDecay::Create(4096).value();
-    const Row flat =
-        RunColdKeyCase("CEH-flat", decay, Backend::kCeh,
-                       HistogramLayout::kFlat, true, gate_stream, gate_keys,
-                       4096);
-    const Row chain =
-        RunColdKeyCase("CEH-chain", decay, Backend::kCeh,
-                       HistogramLayout::kChain, false, gate_stream, gate_keys,
-                       4096);
-    const double ratio = flat.items_per_sec / chain.items_per_sec;
-    std::printf("coldkey flat vs chain: %.0f vs %.0f items/sec (%.2fx)\n",
-                flat.items_per_sec, chain.items_per_sec, ratio);
-    if (ratio < 0.9) {
-      std::fprintf(stderr,
-                   "FAIL: cold-key gate requires the flat layout >= 0.9x "
-                   "the chain layout\n");
-      return 1;
-    }
-    return 0;
-  }
   const size_t items = smoke ? 1 << 18 : 1 << 22;
   const size_t key_space = smoke ? 1 << 16 : 1 << 20;
   const size_t shard_items = smoke ? 1 << 17 : 1 << 21;
@@ -791,27 +753,23 @@ int Main(int argc, char** argv) {
     std::printf("%-8s %-6s %10zu %12.3f %14.0f\n", row.backend.c_str(),
                 row.sweep.c_str(), row.param, row.seconds, row.items_per_sec);
   }
-  // Cold-key layout sweep: run-length ~= 1 shuffled keys, where per-slot
-  // cache misses dominate. Three rows isolate the two mechanisms — flat
-  // layout vs the legacy chain, and the grouped-path prefetch pipeline.
+  // Cold-key sweep: run-length ~= 1 shuffled keys, where per-slot cache
+  // misses dominate. Two rows isolate the grouped-path prefetch pipeline.
   {
     const size_t cold_items = smoke ? 1 << 18 : 1 << 21;
     const size_t cold_keys = smoke ? 1 << 15 : 1 << 17;
     const std::vector<KeyedItem> cold_stream =
         MakeColdStream(cold_items, cold_keys, 47);
     const DecayPtr cold_decay = SlidingWindowDecay::Create(4096).value();
-    struct LayoutCase {
+    struct ColdCase {
       const char* label;
-      HistogramLayout layout;
       bool prefetch;
     };
-    for (const LayoutCase lc :
-         {LayoutCase{"CEH-flat", HistogramLayout::kFlat, true},
-          LayoutCase{"CEH-flat-nopf", HistogramLayout::kFlat, false},
-          LayoutCase{"CEH-chain", HistogramLayout::kChain, false}}) {
+    for (const ColdCase cc :
+         {ColdCase{"CEH-flat", true}, ColdCase{"CEH-flat-nopf", false}}) {
       const Row row =
-          RunColdKeyCase(lc.label, cold_decay, Backend::kCeh, lc.layout,
-                         lc.prefetch, cold_stream, cold_keys, 4096);
+          RunColdKeyCase(cc.label, cold_decay, Backend::kCeh, cc.prefetch,
+                         cold_stream, cold_keys, 4096);
       rows.push_back(row);
       std::printf("%-14s %-7s %8zu %12.3f %14.0f\n", row.backend.c_str(),
                   row.sweep.c_str(), row.param, row.seconds,

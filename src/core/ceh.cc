@@ -18,7 +18,6 @@ StatusOr<std::unique_ptr<CehDecayedSum>> CehDecayedSum::Create(
   ExponentialHistogram::Options eh_options;
   eh_options.epsilon = options.epsilon;
   eh_options.window = decay->Horizon();  // N(g); infinite keeps everything
-  eh_options.layout = options.layout;
   auto eh = ExponentialHistogram::Create(eh_options);
   if (!eh.ok()) return eh.status();
   return std::unique_ptr<CehDecayedSum>(

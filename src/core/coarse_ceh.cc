@@ -34,26 +34,17 @@ void CoarseCehDecayedSum::AdvanceTo(Tick t) {
   const Tick gap = t - now_;
   now_ = t;
   if (gap == 0) return;
-  if (options_.layout == HistogramLayout::kFlat) {
-    // Ascending-class segment order == the chain layout's `for (cls :
-    // classes_)` order, so the shared RNG is consumed identically and the
-    // two layouts stay bit-identical through stochastic aging.
-    flat_.ForEachSegmentAscendingClass(
-        [this, gap](size_t, size_t begin, size_t end) {
-          for (size_t k = begin; k < end; ++k) {
-            ApproxAge& age = flat_.stamp(k);
-            age.Advance(gap, rng_);
-            max_age_seen_ = std::max(max_age_seen_, age.Estimate());
-          }
-        });
-  } else {
-    for (auto& cls : classes_) {
-      for (Bucket& bucket : cls) {
-        bucket.age.Advance(gap, rng_);
-        max_age_seen_ = std::max(max_age_seen_, bucket.age.Estimate());
-      }
-    }
-  }
+  // The stochastic aging sweep consumes the shared RNG in ascending-class
+  // order, oldest bucket first within a class; snapshots carry the RNG
+  // state, so this order is part of the format.
+  flat_.ForEachSegmentAscendingClass(
+      [this, gap](size_t, size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k) {
+          ApproxAge& age = flat_.stamp(k);
+          age.Advance(gap, rng_);
+          max_age_seen_ = std::max(max_age_seen_, age.Estimate());
+        }
+      });
   Expire();
 }
 
@@ -69,85 +60,22 @@ void CoarseCehDecayedSum::InsertUnits(uint64_t incoming_units) {
   // Same canonical digit arithmetic as ExponentialHistogram::InsertUnits,
   // with approximate ages in place of timestamps: all incoming buckets are
   // brand new (age 1); a merge keeps the *younger* boundary.
-  if (options_.layout == HistogramLayout::kFlat) {
-    const ApproxAge fresh_age(options_.boundary_delta);
-    flat_.InsertUnits(incoming_units, fresh_age, cap_,
-                      [](const ApproxAge& older, const ApproxAge& newer) {
-                        ApproxAge merged = older;
-                        merged.TakeYounger(newer);
-                        return merged;
-                      });
-    return;
-  }
-  uint64_t virtual_new = incoming_units;
-  std::vector<Bucket> real_carries;
-  const ApproxAge fresh(options_.boundary_delta);
-  size_t i = 0;
-  while (true) {
-    if (i >= classes_.size()) classes_.emplace_back();
-    auto& cls = classes_[i];
-    const uint64_t total = cls.size() + virtual_new;
-    uint64_t next_virtual = 0;
-    real_carries.clear();
-    if (total > cap_) {
-      const uint64_t merges = (total - cap_ + 1) / 2;
-      for (uint64_t m = 0; m < merges; ++m) {
-        if (cls.size() >= 2) {
-          Bucket a = cls.front();
-          cls.pop_front();
-          Bucket b = cls.front();
-          cls.pop_front();
-          a.age.TakeYounger(b.age);
-          a.count += b.count;
-          real_carries.push_back(a);
-        } else if (cls.size() == 1) {
-          Bucket a = cls.front();
-          cls.pop_front();
-          TDS_CHECK_GE(virtual_new, 1u);
-          --virtual_new;
-          a.age = fresh;  // merged with a just-arrived unit bucket
-          a.count <<= 1;
-          real_carries.push_back(a);
-        } else {
-          const uint64_t remaining = merges - m;
-          TDS_CHECK_GE(virtual_new, 2 * remaining);
-          virtual_new -= 2 * remaining;
-          next_virtual += remaining;
-          break;
-        }
-      }
-    }
-    const uint64_t unit = uint64_t{1} << i;
-    for (uint64_t v = 0; v < virtual_new; ++v) {
-      cls.push_back(Bucket{fresh, unit});
-    }
-    if (real_carries.empty() && next_virtual == 0) break;
-    if (i + 1 >= classes_.size()) classes_.emplace_back();
-    for (const Bucket& carry : real_carries) classes_[i + 1].push_back(carry);
-    virtual_new = next_virtual;
-    ++i;
-  }
+  const ApproxAge fresh_age(options_.boundary_delta);
+  flat_.InsertUnits(incoming_units, fresh_age, cap_,
+                    [](const ApproxAge& older, const ApproxAge& newer) {
+                      ApproxAge merged = older;
+                      merged.TakeYounger(newer);
+                      return merged;
+                    });
 }
 
 void CoarseCehDecayedSum::Expire() {
   const Tick horizon = decay_->Horizon();
   if (horizon == kInfiniteHorizon || total_count_ == 0) return;
-  if (options_.layout == HistogramLayout::kFlat) {
-    const double horizon_age = static_cast<double>(horizon);
-    total_count_ -= flat_.ExpireOldest([horizon_age](const ApproxAge& age) {
-      return age.Estimate() > horizon_age;
-    });
-    return;
-  }
-  for (size_t c = classes_.size(); c-- > 0;) {
-    auto& cls = classes_[c];
-    while (!cls.empty() &&
-           cls.front().age.Estimate() > static_cast<double>(horizon)) {
-      total_count_ -= cls.front().count;
-      cls.pop_front();
-    }
-    if (!cls.empty()) break;
-  }
+  const double horizon_age = static_cast<double>(horizon);
+  total_count_ -= flat_.ExpireOldest([horizon_age](const ApproxAge& age) {
+    return age.Estimate() > horizon_age;
+  });
 }
 
 void CoarseCehDecayedSum::Advance(Tick now) {
@@ -172,40 +100,22 @@ Status CoarseCehDecayedSum::AuditInvariants() const {
     checksum += count;
     return Status::OK();
   };
-  if (options_.layout == HistogramLayout::kFlat) {
-    TDS_AUDIT_CHECK(classes_.empty(),
-                    "chain storage populated under the flat layout");
-    TDS_AUDIT_CHECK(flat_.num_classes() <= 64, "more than 64 size classes");
-    size_t segment_sum = 0;
-    for (size_t c = 0; c < flat_.num_classes(); ++c) {
-      TDS_AUDIT_CHECK(flat_.class_size(c) <= 2 * cap_ + 2,
-                      "class exceeds cap bound");
-      segment_sum += flat_.class_size(c);
-    }
-    TDS_AUDIT_CHECK(segment_sum == flat_.size(),
-                    "flat class segments disagree with bucket storage");
-    Status bucket_status = Status::OK();
-    flat_.ForEachSegmentAscendingClass(
-        [&](size_t c, size_t begin, size_t end) {
-          for (size_t k = begin; k < end && bucket_status.ok(); ++k) {
-            bucket_status = check_bucket(c, flat_.stamp(k), flat_.count(k));
-          }
-        });
-    if (!bucket_status.ok()) return bucket_status;
-  } else {
-    TDS_AUDIT_CHECK(flat_.empty() && flat_.num_classes() == 0,
-                    "flat storage populated under the chain layout");
-    TDS_AUDIT_CHECK(classes_.size() <= 64, "more than 64 size classes");
-    for (size_t c = 0; c < classes_.size(); ++c) {
-      const auto& cls = classes_[c];
-      TDS_AUDIT_CHECK(cls.size() <= 2 * cap_ + 2, "class exceeds cap bound");
-      for (const Bucket& bucket : cls) {
-        const Status bucket_status =
-            check_bucket(c, bucket.age, bucket.count);
-        if (!bucket_status.ok()) return bucket_status;
-      }
-    }
+  TDS_AUDIT_CHECK(flat_.num_classes() <= 64, "more than 64 size classes");
+  size_t segment_sum = 0;
+  for (size_t c = 0; c < flat_.num_classes(); ++c) {
+    TDS_AUDIT_CHECK(flat_.class_size(c) <= 2 * cap_ + 2,
+                    "class exceeds cap bound");
+    segment_sum += flat_.class_size(c);
   }
+  TDS_AUDIT_CHECK(segment_sum == flat_.size(),
+                  "flat class segments disagree with bucket storage");
+  Status bucket_status = Status::OK();
+  flat_.ForEachSegmentAscendingClass([&](size_t c, size_t begin, size_t end) {
+    for (size_t k = begin; k < end && bucket_status.ok(); ++k) {
+      bucket_status = check_bucket(c, flat_.stamp(k), flat_.count(k));
+    }
+  });
+  if (!bucket_status.ok()) return bucket_status;
   TDS_AUDIT_CHECK(checksum == total_count_,
                   "bucket counts do not sum to the total");
   return Status::OK();
@@ -216,49 +126,27 @@ double CoarseCehDecayedSum::Query(Tick now) const {
   const double gap = static_cast<double>(now - now_);
   const Tick horizon = decay_->Horizon();
   double sum = 0.0;
-  auto accumulate = [&](const ApproxAge& boundary, uint64_t count) {
-    const double age_estimate = std::max(1.0, boundary.Estimate() + gap);
-    const auto age = static_cast<Tick>(std::llround(age_estimate));
-    if (age > horizon) return;
-    sum += static_cast<double>(count) * decay_->Weight(age);
-  };
-  if (options_.layout == HistogramLayout::kFlat) {
-    // Ascending-class order matches the chain walk, keeping the floating-
-    // point summation order — and so the query answer — bit-identical.
-    flat_.ForEachSegmentAscendingClass(
-        [&](size_t, size_t begin, size_t end) {
-          for (size_t k = begin; k < end; ++k) {
-            accumulate(flat_.stamp(k), flat_.count(k));
-          }
-        });
-  } else {
-    for (const auto& cls : classes_) {
-      for (const Bucket& bucket : cls) accumulate(bucket.age, bucket.count);
+  // Ascending-class order fixes the floating-point summation order, and so
+  // the answer, bit for bit.
+  flat_.ForEachSegmentAscendingClass([&](size_t, size_t begin, size_t end) {
+    for (size_t k = begin; k < end; ++k) {
+      const double age_estimate =
+          std::max(1.0, flat_.stamp(k).Estimate() + gap);
+      const auto age = static_cast<Tick>(std::llround(age_estimate));
+      if (age > horizon) continue;
+      sum += static_cast<double>(flat_.count(k)) * decay_->Weight(age);
     }
-  }
+  });
   return sum;
 }
 
-size_t CoarseCehDecayedSum::BucketCount() const {
-  if (options_.layout == HistogramLayout::kFlat) return flat_.size();
-  size_t n = 0;
-  for (const auto& cls : classes_) n += cls.size();
-  return n;
-}
+size_t CoarseCehDecayedSum::BucketCount() const { return flat_.size(); }
 
 std::vector<double> CoarseCehDecayedSum::BoundaryAges() const {
   std::vector<double> ages;
-  if (options_.layout == HistogramLayout::kFlat) {
-    flat_.ForEachOldestFirst([&ages](const ApproxAge& age, uint64_t) {
-      ages.push_back(age.Estimate());
-    });
-    return ages;
-  }
-  for (size_t c = classes_.size(); c-- > 0;) {
-    for (const Bucket& bucket : classes_[c]) {
-      ages.push_back(bucket.age.Estimate());
-    }
-  }
+  flat_.ForEachOldestFirst([&ages](const ApproxAge& age, uint64_t) {
+    ages.push_back(age.Estimate());
+  });
   return ages;
 }
 
@@ -271,28 +159,17 @@ void CoarseCehDecayedSum::EncodeState(Encoder& encoder) const {
   uint64_t rng_state[4];
   rng_.SaveState(rng_state);
   for (uint64_t word : rng_state) encoder.PutVarint(word);
-  if (options_.layout == HistogramLayout::kFlat) {
-    // Same wire format as the chain branch (class count includes emptied
-    // classes; per-class buckets oldest first) — byte-identical output.
-    encoder.PutVarint(flat_.num_classes());
-    flat_.ForEachSegmentAscendingClass(
-        [this, &encoder](size_t, size_t begin, size_t end) {
-          encoder.PutVarint(end - begin);
-          for (size_t k = begin; k < end; ++k) {
-            flat_.stamp(k).EncodeTo(encoder);
-            encoder.PutVarint(flat_.count(k));
-          }
-        });
-    return;
-  }
-  encoder.PutVarint(classes_.size());
-  for (const auto& cls : classes_) {
-    encoder.PutVarint(cls.size());
-    for (const Bucket& bucket : cls) {
-      bucket.age.EncodeTo(encoder);
-      encoder.PutVarint(bucket.count);
-    }
-  }
+  // Class count (emptied classes included), then each class in ascending
+  // order, its buckets oldest first.
+  encoder.PutVarint(flat_.num_classes());
+  flat_.ForEachSegmentAscendingClass(
+      [this, &encoder](size_t, size_t begin, size_t end) {
+        encoder.PutVarint(end - begin);
+        for (size_t k = begin; k < end; ++k) {
+          flat_.stamp(k).EncodeTo(encoder);
+          encoder.PutVarint(flat_.count(k));
+        }
+      });
 }
 
 Status CoarseCehDecayedSum::DecodeState(Decoder& decoder) {
@@ -320,7 +197,11 @@ Status CoarseCehDecayedSum::DecodeState(Decoder& decoder) {
     return CorruptSnapshot("CoarseCEH clock");
   }
   total_count_ = total;
-  std::vector<std::deque<Bucket>> decoded(class_count);
+  struct Bucket {
+    ApproxAge age;
+    uint64_t count = 0;
+  };
+  std::vector<std::vector<Bucket>> decoded(class_count);
   uint64_t checksum = 0;
   for (size_t c = 0; c < decoded.size(); ++c) {
     auto& cls = decoded[c];
@@ -339,14 +220,9 @@ Status CoarseCehDecayedSum::DecodeState(Decoder& decoder) {
       cls.push_back(bucket);
     }
   }
-  if (options_.layout == HistogramLayout::kFlat) {
-    classes_.clear();
-    flat_.AssignFromClasses(
-        decoded, [](const Bucket& b) { return b.age; },
-        [](const Bucket& b) { return b.count; });
-  } else {
-    classes_ = std::move(decoded);
-  }
+  flat_.AssignFromClasses(
+      decoded, [](const Bucket& b) { return b.age; },
+      [](const Bucket& b) { return b.count; });
   if (checksum != total_count_) return CorruptSnapshot("CoarseCEH total");
   // Hostile-snapshot funnel: reject blobs whose state fails the audit.
   const Status audit = AuditInvariants();

@@ -1,7 +1,6 @@
 #ifndef TDS_CORE_COARSE_CEH_H_
 #define TDS_CORE_COARSE_CEH_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,10 +38,6 @@ class CoarseCehDecayedSum : public DecayedAggregate {
     /// Boundary grid ratio (1 + delta): the age quantization coarseness.
     double boundary_delta = 0.25;
     uint64_t seed = 0xa9e5;
-    /// Bucket-storage layout; see ExponentialHistogram::Options::layout.
-    /// Bit-identical either way, including the RNG consumption order of the
-    /// stochastic aging sweep.
-    HistogramLayout layout = HistogramLayout::kFlat;
   };
 
   static StatusOr<std::unique_ptr<CoarseCehDecayedSum>> Create(
@@ -76,11 +71,6 @@ class CoarseCehDecayedSum : public DecayedAggregate {
   Status DecodeState(class Decoder& decoder);
 
  private:
-  struct Bucket {
-    ApproxAge age;
-    uint64_t count = 0;
-  };
-
   CoarseCehDecayedSum(DecayPtr decay, const Options& options);
 
   void AdvanceTo(Tick t);
@@ -92,12 +82,8 @@ class CoarseCehDecayedSum : public DecayedAggregate {
   uint64_t cap_;
   Rng rng_;
 
-  /// kChain storage — classes_[i]: buckets of count 2^i, oldest at the
-  /// front; every bucket in classes_[i] is newer than every bucket in
-  /// classes_[i+1]. Empty under kFlat.
-  std::vector<std::deque<Bucket>> classes_;
-  /// kFlat storage: the same buckets in contiguous SoA arrays (stamps =
-  /// approximate boundary ages). Empty under kChain.
+  /// Buckets in contiguous SoA arrays (stamps = approximate boundary ages),
+  /// per-class segments in canonical oldest-first order.
   FlatBucketStore<ApproxAge> flat_;
 
   Tick now_ = 0;

@@ -66,7 +66,7 @@ Status EncodeDecayedSum(DecayedAggregate& aggregate, std::string* out) {
 }
 
 StatusOr<std::unique_ptr<DecayedAggregate>> DecodeDecayedSum(
-    DecayPtr decay, std::string_view data, HistogramLayout layout) {
+    DecayPtr decay, std::string_view data) {
   if (decay == nullptr) {
     return Status::InvalidArgument("decay function required");
   }
@@ -121,7 +121,6 @@ StatusOr<std::unique_ptr<DecayedAggregate>> DecodeDecayedSum(
     if (!peek.GetDouble(&epsilon)) return CorruptSnapshot("CEH options");
     CehDecayedSum::Options options;
     options.epsilon = epsilon;
-    options.layout = layout;
     auto created = CehDecayedSum::Create(std::move(decay), options);
     if (!created.ok()) return created.status();
     status = (*created)->DecodeState(body);
@@ -132,7 +131,6 @@ StatusOr<std::unique_ptr<DecayedAggregate>> DecodeDecayedSum(
         !peek.GetDouble(&options.boundary_delta)) {
       return CorruptSnapshot("CoarseCEH options");
     }
-    options.layout = layout;
     auto created = CoarseCehDecayedSum::Create(std::move(decay), options);
     if (!created.ok()) return created.status();
     status = (*created)->DecodeState(body);

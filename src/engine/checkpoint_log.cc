@@ -653,8 +653,7 @@ StatusOr<CheckpointLog::Manifest> LoadManifest(const std::string& dir) {
   if (primary.ok()) return primary;
   StatusOr<CheckpointLog::Manifest> fallback = load_one(path + ".prev");
   if (fallback.ok()) return fallback;
-  // Both generations failed: name both failures (the LoadCheckpoint
-  // combined-error convention).
+  // Both generations failed: name both failures.
   return Status(primary.status().code(),
                 primary.status().message() + "; fallback " + path +
                     ".prev: " + fallback.status().message());

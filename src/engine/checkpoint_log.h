@@ -13,9 +13,10 @@
 
 namespace tds {
 
-/// Incremental segment/manifest checkpointing — durability whose write
-/// cost scales with *churn*, not key population (the full-blob
-/// engine/checkpoint.h rewrites every key every time).
+/// Segment/manifest checkpointing — the engine's one durable format, whose
+/// write cost scales with *churn*, not key population. A full checkpoint is
+/// WriteIncremental followed by Compact(): one generation holding a single
+/// base file.
 ///
 /// On-disk layout (one directory per log):
 ///   seg-<generation>-s<shard>.tds   incremental segment (one shard's delta)
@@ -35,9 +36,9 @@ namespace tds {
 ///
 /// Commit protocol: segments are written first (tmp→fsync→rename; until
 /// the manifest names them they are invisible garbage), then the manifest
-/// commits via tmp→fsync→rotate-to-.prev→rename→dir-sync — the same
-/// all-or-nothing protocol as the full-blob checkpoint, so a crash at any
-/// point leaves the previous manifest generation fully loadable. Files no
+/// commits via tmp→fsync→rotate-to-.prev→rename→dir-sync — an
+/// all-or-nothing protocol, so a crash at any point leaves the previous
+/// manifest generation fully loadable. Files no
 /// longer named by either the manifest or its .prev are garbage-collected
 /// after commit.
 ///
@@ -164,7 +165,7 @@ class CheckpointLog {
 
 /// Loads the newest committed manifest in `dir` (falling back to the .prev
 /// generation when the primary fails validation — both failing reports
-/// both errors, mirroring LoadCheckpoint).
+/// both errors).
 StatusOr<CheckpointLog::Manifest> LoadManifest(const std::string& dir);
 
 /// Decodes and folds a manifest's files (validating manifest checksums,
@@ -175,8 +176,11 @@ StatusOr<AggregateRegistry> LoadCheckpointLog(
     DecayPtr decay, const AggregateRegistry::Options& options,
     const std::string& dir);
 
-/// LoadCheckpointLog + Restore onto a fresh engine (same contract as
-/// RestoreFromCheckpoint).
+/// LoadCheckpointLog + Restore onto a fresh engine. The engine must be
+/// fresh (nothing ingested). A load failure (missing, torn or corrupt
+/// files) is reported before the engine is touched, so the engine stays
+/// usable; a Restore failure means the engine should be discarded — see
+/// ShardedAggregateEngine::Restore.
 Status RestoreFromCheckpointLog(ShardedAggregateEngine& engine,
                                 const std::string& dir);
 

@@ -152,46 +152,6 @@ uint32_t ShardedAggregateEngine::RouteForKey(uint64_t key) const {
       key, static_cast<uint32_t>(table->shard_of_slice.size()))];
 }
 
-Status ShardedAggregateEngine::Ingest(uint64_t key, Tick t, uint64_t value) {
-  const KeyedItem item{key, t, value};
-  return IngestBatch({&item, 1});
-}
-
-Status ShardedAggregateEngine::IngestBatch(std::span<const KeyedItem> items) {
-  const Deadline deadline =
-      options_.backpressure == BackpressurePolicy::kBlockWithDeadline
-          ? Deadline::After(options_.block_deadline)
-          : Deadline::Infinite();
-  return IngestRouted(items, options_.backpressure, deadline);
-}
-
-Status ShardedAggregateEngine::TryUpdateBatch(
-    std::span<const KeyedItem> items, std::chrono::nanoseconds deadline) {
-  // Always the staged ladder: a caller asking for admission control wants
-  // parked waiting (not a burned core) up to its deadline, regardless of
-  // the engine-wide policy. A zero deadline makes one non-blocking attempt
-  // per shard.
-  return IngestRouted(items, BackpressurePolicy::kAdaptive,
-                      Deadline::After(deadline));
-}
-
-Status ShardedAggregateEngine::IngestRouted(std::span<const KeyedItem> items,
-                                            BackpressurePolicy policy,
-                                            const Deadline& deadline) {
-  if (items.empty()) return Status::OK();
-  // The legacy surface is literally a session now: stage the whole batch
-  // on an internal one-shot session and flush once against the caller's
-  // deadline. staging_capacity of size+1 disables auto-flush so one
-  // deadline spans the whole batch, exactly the historical contract.
-  ProducerSessionOptions opts;
-  opts.staging_capacity = items.size() + 1;
-  opts.backpressure = policy;
-  ProducerSession session(this, opts, /*internal=*/true);
-  const Status staged = session.AddBatch(items);
-  if (!staged.ok()) return staged;
-  return session.FlushStaged(deadline);
-}
-
 Status ShardedAggregateEngine::EnterFlush(const Deadline& deadline,
                                           bool* stalled) {
   StagedWait wait(BackpressurePolicy::kAdaptive);
@@ -472,13 +432,7 @@ void ShardedAggregateEngine::WriterLoop(Shard& shard) {
     const size_t n = shard.queue.TryPopN(buffer.data(), buffer.size());
     if (n > 0) {
       idle_polls = 0;
-      if (options_.apply_batched) {
-        shard.registry->UpdateBatch({buffer.data(), n});
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          shard.registry->Update(buffer[i].key, buffer[i].t, buffer[i].value);
-        }
-      }
+      shard.registry->UpdateBatch({buffer.data(), n});
       // Stats before the applied-counter release: once Flush() observes the
       // count, the occupancy mirrors are current too.
       UpdateStats(shard);
@@ -1001,8 +955,8 @@ StatusOr<bool> ShardedAggregateEngine::RebalanceLocked() {
   // Offered-load heat since the last selection: sessions publish per-slice
   // ingest counts at flush; the window diff ranks *hot* slices first so a
   // small slice taking most of the traffic moves before a populous cold
-  // one (live keys break rate ties, which also covers legacy-only feeds
-  // where every rate is zero — the historical key-count order).
+  // one (live keys break rate ties, which also covers windows without
+  // session traffic, where every rate is zero — plain key-count order).
   std::vector<uint64_t> slice_rate(slice_count, 0);
   for (uint32_t s = 0; s < slice_count; ++s) {
     slice_rate[s] =
@@ -1085,7 +1039,7 @@ Status ShardedAggregateEngine::RestoreLocked(MergedSnapshot snapshot) {
       merged = registry.MergeFrom(std::move(part).value());
     });
     // A mid-restore failure leaves the engine partially loaded: callers
-    // (engine/checkpoint.h) treat any Restore error as "discard the
+    // (RestoreFromCheckpointLog) treat any Restore error as "discard the
     // engine and retry on a fresh one".
     if (!merged.ok()) return merged;
   }

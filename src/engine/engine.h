@@ -53,11 +53,8 @@ struct ProducerSessionOptions {
 /// engine/producer_session.h) that stages items into per-shard runs
 /// locally and publishes whole pre-grouped runs to the target rings — the
 /// hot path takes no shared lock and loads the route table once per flush
-/// (one atomic shared_ptr load per batch, not per item). The engine-global
-/// Ingest/IngestBatch/TryUpdateBatch entry points are DEPRECATED thin
-/// shims over an internal one-shot session; they keep their historical
-/// contracts but new in-tree callers are rejected by tools/tds_lint.py
-/// (rule deprecated-ingest).
+/// (one atomic shared_ptr load per batch, not per item). Sessions are the
+/// only ingest surface.
 ///
 /// Reads: point reads (QueryKey, QueryTotal) are answered by the owning
 /// shard's writer between drain chunks — QueryKey is one table probe on
@@ -71,11 +68,11 @@ struct ProducerSessionOptions {
 /// Backpressure: when a shard's ring fills, producers escalate through the
 /// staged wait (spin → yield → CondVar park; see BackpressurePolicy) and
 /// the writer signals on consumption — a blocked producer no longer burns
-/// a core. Admission control (TryUpdateBatch, kBlockWithDeadline) bounds
-/// the blocking and rejects the overflow with kUnavailable; rejects and
-/// parks are counted per shard in Stats(). Restore() (with
-/// engine/checkpoint.h) rebuilds a fresh engine from a checkpointed
-/// merged snapshot, byte-identical to the checkpointed state.
+/// a core. Admission control (kBlockWithDeadline) bounds the blocking and
+/// rejects the overflow with kUnavailable; rejects and parks are counted
+/// per shard in Stats(). Durability is the checkpoint log
+/// (engine/checkpoint_log.h): Restore() rebuilds a fresh engine from the
+/// registry a log folds to, byte-identical to the checkpointed state.
 ///
 /// Route-epoch protocol: the slice→shard table is an immutable snapshot
 /// (RouteTable) published through an atomic shared_ptr with a
@@ -120,19 +117,13 @@ class ShardedAggregateEngine {
     /// two). What a producer does when a queue is full is `backpressure`'s
     /// call.
     size_t queue_capacity = 1 << 16;
-    /// Full-queue behavior for session flushes and Ingest/IngestBatch (see
-    /// BackpressurePolicy in engine/wait_strategy.h). TryUpdateBatch
-    /// ignores this: it always runs the staged ladder against its
-    /// caller-supplied deadline.
+    /// Full-queue behavior for session flushes (see BackpressurePolicy in
+    /// engine/wait_strategy.h); a session may override it.
     BackpressurePolicy backpressure = BackpressurePolicy::kAdaptive;
     /// Admission deadline for kBlockWithDeadline: how long one flush
     /// episode may block before the remainder of the batch is rejected
     /// with Status::Unavailable.
     std::chrono::nanoseconds block_deadline = std::chrono::milliseconds(100);
-    /// Drain the queue through AggregateRegistry::UpdateBatch (amortized
-    /// hot path) instead of per-item Update. The resulting state is
-    /// bit-identical either way; this is the throughput knob.
-    bool apply_batched = true;
     /// Skew trigger for RebalanceIfSkewed: rebalance when the busiest
     /// shard holds at least this many times the live keys of the idlest.
     double rebalance_skew = 2.0;
@@ -161,9 +152,7 @@ class ShardedAggregateEngine {
   /// ProducerSession::stats()). `items_staged` counts items accepted into
   /// session staging buffers, `items_flushed` items handed to the shard
   /// rings, and `flush_stalls` flush episodes that had to wait (route
-  /// fence or full ring). The legacy shims run on internal one-shot
-  /// sessions and contribute to the item counters but not to
-  /// sessions_opened/closed.
+  /// fence or full ring).
   struct SessionStats {
     uint64_t sessions_opened = 0;
     uint64_t sessions_closed = 0;
@@ -195,29 +184,6 @@ class ShardedAggregateEngine {
   /// the staging/flush semantics.
   StatusOr<std::unique_ptr<ProducerSession>> NewProducer(
       const ProducerSessionOptions& options = {});
-
-  /// DEPRECATED shim over an internal one-shot ProducerSession — prefer
-  /// NewProducer(). Enqueues one item (thread-safe). Blocking behavior
-  /// follows Options::backpressure; a stopped engine returns
-  /// kFailedPrecondition, a missed kBlockWithDeadline deadline returns
-  /// kUnavailable. New in-tree callers are rejected by tools/tds_lint.py
-  /// (rule deprecated-ingest).
-  Status Ingest(uint64_t key, Tick t, uint64_t value);
-
-  /// DEPRECATED shim over an internal one-shot ProducerSession — prefer
-  /// NewProducer(). Enqueues a batch, preserving per-shard arrival order
-  /// (thread-safe). Error contract as Ingest; on kUnavailable the items
-  /// that fit were enqueued and the remainder is counted in
-  /// ShardStats::items_rejected.
-  Status IngestBatch(std::span<const KeyedItem> items);
-
-  /// DEPRECATED shim over an internal one-shot ProducerSession — prefer
-  /// NewProducer() with kBlockWithDeadline. Admission-controlled enqueue:
-  /// blocks at most `deadline` (0 = one non-blocking attempt per shard),
-  /// then rejects the remainder with kUnavailable and counts it in
-  /// ShardStats::items_rejected. Ignores Options::backpressure.
-  Status TryUpdateBatch(std::span<const KeyedItem> items,
-                        std::chrono::nanoseconds deadline);
 
   /// Returns once every item ingested before the call has been applied —
   /// or kFailedPrecondition if the engine stopped with items unapplied
@@ -278,8 +244,8 @@ class ShardedAggregateEngine {
       TDS_EXCLUDES(route_mutex_);
 
   /// Rebuilds shard state from a checkpointed merged snapshot (see
-  /// engine/checkpoint.h): the snapshot's registry is re-partitioned along
-  /// the current route table and merged onto the shard writers through the
+  /// RestoreFromCheckpointLog): the snapshot's registry is re-partitioned
+  /// along the current route table and merged onto the shard writers through the
   /// same audited ExtractIf/MergeFrom path migrations use. Requires a
   /// fresh engine (no items applied, no live keys) whose options match the
   /// checkpoint's; queries afterwards are byte-identical to the
@@ -512,11 +478,6 @@ class ShardedAggregateEngine {
                      BackpressurePolicy policy, const Deadline& deadline,
                      PushCounters* counters = nullptr);
 
-  /// DEPRECATED-shim core: stages `items` on an internal one-shot session
-  /// and flushes once against `deadline`.
-  Status IngestRouted(std::span<const KeyedItem> items,
-                      BackpressurePolicy policy, const Deadline& deadline);
-
   /// The current epoch-published route snapshot (one plain acquire load —
   /// no refcount traffic, no lock word). The pointee is immutable and
   /// stays alive until the engine is destroyed (see route_history_), so
@@ -539,8 +500,8 @@ class ShardedAggregateEngine {
   }
 
   /// Flush fence — the generation fence of the route-epoch protocol.
-  /// EnterFlush/ExitFlush bracket every ring-push episode (sessions and
-  /// legacy shims): two seq_cst RMWs on the uncontended fast path.
+  /// EnterFlush/ExitFlush bracket every session ring-push episode: two
+  /// seq_cst RMWs on the uncontended fast path.
   /// EnterFlush fails fast with kFailedPrecondition on a stopped engine
   /// and with kUnavailable when the fence stays up past `deadline`
   /// (`*stalled` is set if it had to wait at all).

@@ -23,25 +23,20 @@ StatusOr<std::unique_ptr<ProducerSession>> ShardedAggregateEngine::NewProducer(
   }
   sessions_opened_.fetch_add(1, std::memory_order_relaxed);
   return std::unique_ptr<ProducerSession>(
-      new ProducerSession(this, options, /*internal=*/false));
+      new ProducerSession(this, options));
 }
 
 ProducerSession::ProducerSession(ShardedAggregateEngine* engine,
-                                 const ProducerSessionOptions& options,
-                                 bool internal)
+                                 const ProducerSessionOptions& options)
     : engine_(engine),
       options_(options),
-      internal_(internal),
       policy_(options.backpressure.value_or(engine->options().backpressure)),
       block_deadline_(
           options.block_deadline.value_or(engine->options().block_deadline)) {
   runs_.resize(engine->shards());
   // Offered-load heat only matters where the rebalancer can act on it:
-  // long-lived sessions on multi-shard engines. The internal one-shot
-  // sessions behind the deprecated shims skip it, which keeps the legacy
-  // surface's per-call cost (and its key-count-ordered rebalancing
-  // behavior) unchanged.
-  if (!internal_ && engine->shards() > 1) {
+  // multi-shard engines.
+  if (engine->shards() > 1) {
     slice_counts_.assign(engine->route_slices(), 0);
   }
 }
@@ -50,9 +45,7 @@ ProducerSession::~ProducerSession() {
   if (staged_now_ > 0) {
     (void)Flush();
   }
-  if (!internal_) {
-    engine_->sessions_closed_.fetch_add(1, std::memory_order_relaxed);
-  }
+  engine_->sessions_closed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 Status ProducerSession::Add(uint64_t key, Tick t, uint64_t value) {
@@ -159,8 +152,8 @@ Status ProducerSession::FlushStaged(const Deadline& deadline) {
     std::vector<KeyedItem>& run = runs_[s];
     if (run.empty()) continue;
     ShardedAggregateEngine::PushCounters counters;
-    // Admission is per shard (as on the legacy surface): one shard
-    // rejecting does not stop the other shards' runs from landing.
+    // Admission is per shard: one shard rejecting does not stop the other
+    // shards' runs from landing.
     const Status status = engine_->PushToShard(
         *engine_->shards_[s], run, policy_, deadline, &counters);
     rejected += counters.rejected;

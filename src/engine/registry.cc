@@ -71,7 +71,6 @@ StatusOr<AggregateRegistry> AggregateRegistry::Create(DecayPtr decay,
                       .backend(backend)
                       .epsilon(options.aggregate.epsilon())
                       .start(options.aggregate.start())
-                      .layout(options.aggregate.layout())
                       .Build();
   if (!resolved.ok()) return resolved.status();
   AggregateRegistry registry(decay, options, backend, resolved.value());
@@ -835,8 +834,7 @@ StatusOr<AggregateRegistry> AggregateRegistry::Decode(DecayPtr decay,
       if (!status.ok()) return status;
       if (!sub.Done()) return CorruptSnapshot("counter trailer");
     } else {
-      auto decoded = DecodeDecayedSum(registry.decay_, payload,
-                                      registry.resolved_.layout());
+      auto decoded = DecodeDecayedSum(registry.decay_, payload);
       if (!decoded.ok()) return decoded.status();
       if ((*decoded)->Name() != BackendTypeName(registry.backend_)) {
         return Status::InvalidArgument(

@@ -10,9 +10,7 @@
 namespace tds {
 
 ExponentialHistogram::ExponentialHistogram(const Options& options)
-    : epsilon_(options.epsilon),
-      window_(options.window),
-      layout_(options.layout) {
+    : epsilon_(options.epsilon), window_(options.window) {
   // Per-class bucket budget k = ceil(1/eps) + 1 (Datar et al.): with at
   // least cap_-1 buckets per smaller class, the straddling bucket's
   // half-count correction is at most an eps fraction of the window count,
@@ -58,91 +56,19 @@ void ExponentialHistogram::Add(Tick t, uint64_t value) {
 }
 
 void ExponentialHistogram::InsertUnits(Tick t, uint64_t incoming_units) {
-  if (layout_ == HistogramLayout::kFlat) {
-    // Same digit arithmetic, run by the flat store as a suffix compaction
-    // sweep; a merged bucket keeps the newer partner's end timestamp.
-    flat_.InsertUnits(incoming_units, t, cap_,
-                      [](Tick /*older*/, Tick newer) { return newer; });
-    return;
-  }
-  // `virtual_new` tracks not-yet-materialized buckets of count 2^i, all with
-  // timestamp t. Real carry buckets (which may carry older timestamps when
-  // pre-existing buckets get merged) are materialized eagerly; there are at
-  // most `cap_` of them per class, so the whole insertion costs
-  // O(cap_ * log(value)) instead of O(value).
-  uint64_t virtual_new = incoming_units;
-  std::vector<Bucket> real_carries;
-  size_t i = 0;
-  while (true) {
-    if (i >= classes_.size()) classes_.emplace_back();
-    auto& cls = classes_[i];
-    const uint64_t total = cls.size() + virtual_new;
-    uint64_t next_virtual = 0;
-    real_carries.clear();
-    if (total > cap_) {
-      // Sequential-insertion semantics: a merge fires each time the class
-      // reaches cap_+1 buckets, so `merges` pairs of the oldest buckets
-      // combine into the next class.
-      const uint64_t merges = (total - cap_ + 1) / 2;
-      for (uint64_t m = 0; m < merges; ++m) {
-        if (cls.size() >= 2) {
-          // Two oldest are both pre-existing buckets.
-          Bucket a = cls.front();
-          cls.pop_front();
-          Bucket b = cls.front();
-          cls.pop_front();
-          real_carries.push_back(Bucket{b.end, a.count + b.count});
-        } else if (cls.size() == 1) {
-          // One pre-existing bucket pairs with one incoming unit-bucket.
-          Bucket a = cls.front();
-          cls.pop_front();
-          TDS_CHECK_GE(virtual_new, 1u);
-          --virtual_new;
-          real_carries.push_back(Bucket{t, a.count << 1});
-        } else {
-          // All remaining merges pair incoming buckets with each other:
-          // pure arithmetic, so close them out in one step (this is what
-          // keeps huge-value insertion O(log v) instead of O(v)).
-          const uint64_t remaining = merges - m;
-          TDS_CHECK_GE(virtual_new, 2 * remaining);
-          virtual_new -= 2 * remaining;
-          next_virtual += remaining;
-          break;
-        }
-      }
-    }
-    // Materialize the surviving incoming buckets (newest in the class).
-    const uint64_t unit = uint64_t{1} << i;
-    for (uint64_t v = 0; v < virtual_new; ++v) cls.push_back(Bucket{t, unit});
-
-    if (real_carries.empty() && next_virtual == 0) break;
-    if (i + 1 >= classes_.size()) classes_.emplace_back();
-    // Carries were produced oldest-first and are newer than everything
-    // already in class i+1, so appending preserves the ordering invariant.
-    for (const Bucket& carry : real_carries) classes_[i + 1].push_back(carry);
-    virtual_new = next_virtual;
-    ++i;
-  }
+  // Sequential-insertion digit arithmetic, run by the flat store as a suffix
+  // compaction sweep; a merged bucket keeps the newer partner's end
+  // timestamp. All-incoming merges close out arithmetically, so a value v
+  // costs O(cap * log v), not O(v).
+  flat_.InsertUnits(incoming_units, t, cap_,
+                    [](Tick /*older*/, Tick newer) { return newer; });
 }
 
 void ExponentialHistogram::Expire() {
   if (window_ == kInfiniteHorizon || total_count_ == 0) return;
   const Tick cutoff = now_ - window_ + 1;  // arrivals < cutoff have age > W
-  if (layout_ == HistogramLayout::kFlat) {
-    total_count_ -=
-        flat_.ExpireOldest([cutoff](Tick end) { return end < cutoff; });
-    return;
-  }
-  for (size_t c = classes_.size(); c-- > 0;) {
-    auto& cls = classes_[c];
-    while (!cls.empty() && cls.front().end < cutoff) {
-      total_count_ -= cls.front().count;
-      cls.pop_front();
-    }
-    // Ordering invariant: once a bucket in this class survives, every
-    // bucket in lower classes is newer and survives too.
-    if (!cls.empty()) break;
-  }
+  total_count_ -=
+      flat_.ExpireOldest([cutoff](Tick end) { return end < cutoff; });
 }
 
 double ExponentialHistogram::Estimate() const {
@@ -181,13 +107,6 @@ double ExponentialHistogram::EstimateWindow(Tick w) const {
     sum -= oldest_kept_count / 2.0;
   }
   return sum;
-}
-
-size_t ExponentialHistogram::BucketCount() const {
-  if (layout_ == HistogramLayout::kFlat) return flat_.size();
-  size_t n = 0;
-  for (const auto& cls : classes_) n += cls.size();
-  return n;
 }
 
 std::vector<ExponentialHistogram::Bucket> ExponentialHistogram::Buckets()
@@ -265,7 +184,6 @@ Status ExponentialHistogram::MergeFrom(const ExponentialHistogram& other) {
                                        : other.first_arrival_;
   }
 
-  classes_.clear();
   flat_.Clear();
   total_count_ = 0;
   now_ = 0;
@@ -286,32 +204,18 @@ void ExponentialHistogram::EncodeState(Encoder& encoder) const {
   encoder.PutSigned(now_);
   encoder.PutSigned(first_arrival_);
   encoder.PutVarint(total_count_);
-  if (layout_ == HistogramLayout::kFlat) {
-    // Identical wire format to the chain branch below: the flat store keeps
-    // the same class count (empty classes included) and the same per-class
-    // oldest-first order, so the delta stream matches byte-for-byte.
-    encoder.PutVarint(flat_.num_classes());
-    flat_.ForEachSegmentAscendingClass([&](size_t, size_t begin, size_t end) {
-      encoder.PutVarint(end - begin);
-      Tick previous = 0;
-      for (size_t k = begin; k < end; ++k) {
-        encoder.PutVarint(static_cast<uint64_t>(flat_.stamp(k) - previous));
-        previous = flat_.stamp(k);
-        encoder.PutVarint(flat_.count(k));
-      }
-    });
-    return;
-  }
-  encoder.PutVarint(classes_.size());
-  for (const auto& cls : classes_) {
-    encoder.PutVarint(cls.size());
+  // Class count (emptied classes included), then each class in ascending
+  // order, its buckets oldest first as (end-tick delta, count) pairs.
+  encoder.PutVarint(flat_.num_classes());
+  flat_.ForEachSegmentAscendingClass([&](size_t, size_t begin, size_t end) {
+    encoder.PutVarint(end - begin);
     Tick previous = 0;
-    for (const Bucket& b : cls) {
-      encoder.PutVarint(static_cast<uint64_t>(b.end - previous));
-      previous = b.end;
-      encoder.PutVarint(b.count);
+    for (size_t k = begin; k < end; ++k) {
+      encoder.PutVarint(static_cast<uint64_t>(flat_.stamp(k) - previous));
+      previous = flat_.stamp(k);
+      encoder.PutVarint(flat_.count(k));
     }
-  }
+  });
 }
 
 Status ExponentialHistogram::DecodeState(Decoder& decoder) {
@@ -333,7 +237,7 @@ Status ExponentialHistogram::DecodeState(Decoder& decoder) {
   now_ = now;
   first_arrival_ = first_arrival;
   total_count_ = total;
-  std::vector<std::deque<Bucket>> decoded(class_count);
+  std::vector<std::vector<Bucket>> decoded(class_count);
   for (auto& cls : decoded) {
     uint64_t buckets = 0;
     if (!decoder.GetVarint(&buckets) || buckets > 2 * cap_ + 2) {
@@ -349,14 +253,9 @@ Status ExponentialHistogram::DecodeState(Decoder& decoder) {
       cls.push_back(Bucket{previous, count});
     }
   }
-  if (layout_ == HistogramLayout::kFlat) {
-    classes_.clear();
-    flat_.AssignFromClasses(
-        decoded, [](const Bucket& b) { return b.end; },
-        [](const Bucket& b) { return b.count; });
-  } else {
-    classes_ = std::move(decoded);
-  }
+  flat_.AssignFromClasses(
+      decoded, [](const Bucket& b) { return b.end; },
+      [](const Bucket& b) { return b.count; });
   // Structural validation (hostile snapshots must not yield a structure
   // that later trips internal CHECKs) is exactly the audit protocol:
   // power-of-two counts matching the class, end timestamps within
@@ -384,62 +283,39 @@ Status ExponentialHistogram::AuditInvariants() const {
                           : now_ - window_ + 1;
   uint64_t checksum = 0;
   Tick previous_end = std::numeric_limits<Tick>::min();
-  auto check_bucket = [&](size_t c, uint64_t count, Tick end) -> Status {
-    TDS_AUDIT_CHECK(count == (uint64_t{1} << c),
-                    "class " + std::to_string(c) + " bucket count " +
-                        std::to_string(count));
-    // Canonical EH ordering: walking classes oldest-to-newest, end
-    // timestamps never decrease (equal stamps are legal — one batch
-    // insert spawns buckets in several classes).
-    TDS_AUDIT_CHECK(end >= previous_end, "canonical ordering violated");
-    TDS_AUDIT_CHECK(end >= first_arrival_ && end <= now_,
-                    "bucket timestamp outside [first_arrival, now]");
-    TDS_AUDIT_CHECK(end >= cutoff, "expired bucket retained");
-    previous_end = end;
-    checksum += count;
-    return Status::OK();
-  };
-  if (layout_ == HistogramLayout::kFlat) {
-    TDS_AUDIT_CHECK(classes_.empty(),
-                    "chain storage populated under the flat layout");
-    TDS_AUDIT_CHECK(flat_.num_classes() <= 64, "more than 64 size classes");
-    size_t segment_sum = 0;
-    for (size_t c = 0; c < flat_.num_classes(); ++c) {
-      segment_sum += flat_.class_size(c);
-    }
-    TDS_AUDIT_CHECK(segment_sum == flat_.size(),
-                    "flat class segments disagree with bucket storage");
-    size_t pos = flat_.begin_index();
-    for (size_t c = flat_.num_classes(); c-- > 0;) {
-      const size_t segment = flat_.class_size(c);
-      TDS_AUDIT_CHECK(segment <= cap_,
-                      "class " + std::to_string(c) + " holds " +
-                          std::to_string(segment) + " buckets, cap " +
-                          std::to_string(cap_));
-      for (size_t k = 0; k < segment; ++k, ++pos) {
-        const Status bucket_status =
-            check_bucket(c, flat_.count(pos), flat_.stamp(pos));
-        if (!bucket_status.ok()) return bucket_status;
-      }
-    }
-    TDS_AUDIT_CHECK(pos == flat_.end_index(),
-                    "flat segment walk missed trailing buckets");
-  } else {
-    TDS_AUDIT_CHECK(flat_.empty() && flat_.num_classes() == 0,
-                    "flat storage populated under the chain layout");
-    TDS_AUDIT_CHECK(classes_.size() <= 64, "more than 64 size classes");
-    for (size_t c = classes_.size(); c-- > 0;) {
-      const auto& cls = classes_[c];
-      TDS_AUDIT_CHECK(cls.size() <= cap_,
-                      "class " + std::to_string(c) + " holds " +
-                          std::to_string(cls.size()) + " buckets, cap " +
-                          std::to_string(cap_));
-      for (const Bucket& b : cls) {
-        const Status bucket_status = check_bucket(c, b.count, b.end);
-        if (!bucket_status.ok()) return bucket_status;
-      }
+  TDS_AUDIT_CHECK(flat_.num_classes() <= 64, "more than 64 size classes");
+  size_t segment_sum = 0;
+  for (size_t c = 0; c < flat_.num_classes(); ++c) {
+    segment_sum += flat_.class_size(c);
+  }
+  TDS_AUDIT_CHECK(segment_sum == flat_.size(),
+                  "flat class segments disagree with bucket storage");
+  size_t pos = flat_.begin_index();
+  for (size_t c = flat_.num_classes(); c-- > 0;) {
+    const size_t segment = flat_.class_size(c);
+    TDS_AUDIT_CHECK(segment <= cap_,
+                    "class " + std::to_string(c) + " holds " +
+                        std::to_string(segment) + " buckets, cap " +
+                        std::to_string(cap_));
+    for (size_t k = 0; k < segment; ++k, ++pos) {
+      const uint64_t count = flat_.count(pos);
+      const Tick end = flat_.stamp(pos);
+      TDS_AUDIT_CHECK(count == (uint64_t{1} << c),
+                      "class " + std::to_string(c) + " bucket count " +
+                          std::to_string(count));
+      // Canonical EH ordering: walking classes oldest-to-newest, end
+      // timestamps never decrease (equal stamps are legal — one batch
+      // insert spawns buckets in several classes).
+      TDS_AUDIT_CHECK(end >= previous_end, "canonical ordering violated");
+      TDS_AUDIT_CHECK(end >= first_arrival_ && end <= now_,
+                      "bucket timestamp outside [first_arrival, now]");
+      TDS_AUDIT_CHECK(end >= cutoff, "expired bucket retained");
+      previous_end = end;
+      checksum += count;
     }
   }
+  TDS_AUDIT_CHECK(pos == flat_.end_index(),
+                  "flat segment walk missed trailing buckets");
   TDS_AUDIT_CHECK(checksum == total_count_,
                   "total_count_ " + std::to_string(total_count_) +
                       " != bucket sum " + std::to_string(checksum));

@@ -2,7 +2,6 @@
 #define TDS_HISTOGRAM_EXPONENTIAL_HISTOGRAM_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "histogram/flat_store.h"
@@ -40,11 +39,6 @@ class ExponentialHistogram {
     /// Window size W in ticks; kInfiniteHorizon means never expire
     /// (used when cascading decay functions with unbounded support).
     Tick window = kInfiniteHorizon;
-    /// Bucket-storage layout. kFlat (default) keeps buckets in contiguous
-    /// SoA arrays; kChain keeps the original per-class deques. The two are
-    /// bit-identical in every observable way (queries, snapshot bytes,
-    /// audits) — see tests/flat_layout_differential_test.cc.
-    HistogramLayout layout = HistogramLayout::kFlat;
   };
 
   struct Bucket {
@@ -73,25 +67,17 @@ class ExponentialHistogram {
   uint64_t TotalCount() const { return total_count_; }
 
   /// Number of live buckets.
-  size_t BucketCount() const;
+  size_t BucketCount() const { return flat_.size(); }
 
   /// True if no unexpired items remain.
   bool Empty() const { return total_count_ == 0; }
 
   /// Calls f(Bucket) for every live bucket from oldest to newest: a single
-  /// linear scan in the flat layout, a class-major walk in the chain layout
-  /// (identical visit order either way — canonical EH ordering makes the
-  /// descending-class concatenation the global oldest-first order).
+  /// linear scan of the flat store.
   template <typename F>
   void ForEachBucketOldestFirst(F&& f) const {
-    if (layout_ == HistogramLayout::kFlat) {
-      flat_.ForEachOldestFirst(
-          [&f](Tick end, uint64_t count) { f(Bucket{end, count}); });
-      return;
-    }
-    for (size_t c = classes_.size(); c-- > 0;) {
-      for (const Bucket& b : classes_[c]) f(b);
-    }
+    flat_.ForEachOldestFirst(
+        [&f](Tick end, uint64_t count) { f(Bucket{end, count}); });
   }
 
   /// Snapshot of buckets, oldest first (test/inspection convenience).
@@ -108,7 +94,6 @@ class ExponentialHistogram {
 
   double epsilon() const { return epsilon_; }
   Tick window() const { return window_; }
-  HistogramLayout layout() const { return layout_; }
 
   /// Merges another histogram over a *disjoint* substream of the same
   /// window into this one (the distributed sliding-window setting of
@@ -149,14 +134,10 @@ class ExponentialHistogram {
   Tick window_;
   /// Max buckets per size class before a merge is forced.
   uint64_t cap_;
-  HistogramLayout layout_;
 
-  /// kChain storage: classes_[i] holds the buckets of count 2^i, oldest at
-  /// the front. Invariant: every bucket in classes_[i] is newer than every
-  /// bucket in classes_[i+1] (canonical EH ordering). Empty under kFlat.
-  std::vector<std::deque<Bucket>> classes_;
-  /// kFlat storage: the same buckets in contiguous SoA arrays (stamps =
-  /// end ticks). Empty under kChain.
+  /// Buckets in contiguous SoA arrays (stamps = end ticks), per-class
+  /// segments in canonical oldest-first order: every bucket of class i is
+  /// newer than every bucket of class i+1.
   FlatBucketStore<Tick> flat_;
 
   Tick now_ = 0;

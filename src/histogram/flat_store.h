@@ -20,7 +20,10 @@ namespace tds {
 /// canonical EH ordering invariant — every bucket of class c is newer than
 /// every bucket of class c+1 — means the concatenation class N-1, ...,
 /// class 1, class 0 IS the global oldest-first order, so one array pair plus
-/// per-class sizes represents the chains bucket-for-bucket.
+/// per-class sizes represents the chains bucket-for-bucket. That per-class
+/// deque ("chain") layout is kept verbatim as a test-only reference
+/// (tests/reference/chain_histograms.h); the comments below cite it where
+/// this store reproduces its order step for step.
 ///
 /// Cost model: inserts are tail pushes (vector growth is geometric); a merge
 /// cascade that reaches class A rewrites only the array suffix occupied by

@@ -2,9 +2,13 @@
 // backend in a state bit-identical to feeding the same items through Update
 // one at a time — equal StorageBits, equal Query results at several
 // evaluation times, and green structural audits — under fuzzed batch
-// shapes (same-tick runs, tick gaps, zero values, empty batches).
+// shapes (same-tick runs, tick gaps, zero values, empty batches). The
+// same holds one level up: a keyed AggregateRegistry fed through
+// UpdateBatch must encode byte-for-byte like one fed item by item, which
+// is what lets the engine's shard writers apply whole drain chunks.
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include "decay/polyexponential.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
+#include "engine/registry.h"
 #include "stream/stream.h"
 #include "util/random.h"
 
@@ -107,6 +112,59 @@ TEST(BatchDifferentialTest, EmptyAndSingletonBatches) {
   const StreamItem one{5, 3};
   (*subject)->UpdateBatch({&one, 1});
   EXPECT_DOUBLE_EQ((*subject)->Query(5), 3.0 * decay->Weight(1));
+}
+
+// Registry level: per-item Update versus UpdateBatch over the same keyed
+// stream (the shard writer's apply step) must leave byte-equal EncodeState
+// output, for the shared-layout WBMH and the per-key CEH alike.
+TEST(BatchDifferentialTest, RegistryBatchBitIdenticalToPerItem) {
+  struct Config {
+    DecayPtr decay;
+    Backend backend;
+  };
+  const std::vector<Config> configs = {
+      {PolynomialDecay::Create(2.0).value(), Backend::kWbmh},
+      {PolynomialDecay::Create(1.0).value(), Backend::kCeh},
+      {SlidingWindowDecay::Create(512).value(), Backend::kCeh},
+  };
+  for (const Config& config : configs) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      AggregateRegistry::Options options;
+      options.aggregate = AggregateOptions::Builder()
+                              .backend(config.backend)
+                              .epsilon(0.2)
+                              .Build()
+                              .value();
+      auto per_item = AggregateRegistry::Create(config.decay, options);
+      auto batched = AggregateRegistry::Create(config.decay, options);
+      ASSERT_TRUE(per_item.ok());
+      ASSERT_TRUE(batched.ok());
+
+      Rng rng(seed * 104729 + static_cast<uint64_t>(config.backend));
+      Tick t = 1;
+      for (int round = 0; round < 20; ++round) {
+        std::vector<KeyedItem> chunk;
+        const size_t size = rng.NextBelow(400);
+        for (size_t i = 0; i < size; ++i) {
+          if (rng.NextBelow(4) == 0) t += static_cast<Tick>(rng.NextBelow(5));
+          chunk.push_back(KeyedItem{rng.NextBelow(64), t, rng.NextBelow(3)});
+        }
+        for (const KeyedItem& item : chunk) {
+          per_item->Update(item.key, item.t, item.value);
+        }
+        batched->UpdateBatch(chunk);
+
+        std::string per_item_bytes;
+        std::string batched_bytes;
+        ASSERT_TRUE(per_item->EncodeState(&per_item_bytes).ok());
+        ASSERT_TRUE(batched->EncodeState(&batched_bytes).ok());
+        ASSERT_EQ(per_item_bytes, batched_bytes)
+            << config.decay->Name() << " seed=" << seed
+            << " round=" << round;
+        ASSERT_EQ(per_item->KeyCount(), batched->KeyCount());
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -473,29 +473,5 @@ TEST(AggregateOptionsTest, BuilderValidates) {
   EXPECT_EQ(defaults.start(), 1);
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(FactoryTest, LegacyOptionsShimStillWorks) {
-  auto decay = SlidingWindowDecay::Create(32).value();
-  LegacyAggregateOptions legacy;
-  legacy.backend = Backend::kCeh;
-  legacy.epsilon = 0.2;
-  auto sum = MakeDecayedSum(decay, legacy);
-  ASSERT_TRUE(sum.ok());
-  EXPECT_EQ((*sum)->Name(), "CEH");
-
-  auto average = MakeDecayedAverage(decay, legacy);
-  ASSERT_TRUE(average.ok());
-
-  // The shim funnels through the Builder, so bad values now fail with a
-  // Status instead of reaching a backend.
-  legacy.epsilon = -1.0;
-  EXPECT_FALSE(MakeDecayedSum(decay, legacy).ok());
-  legacy.epsilon = 0.2;
-  legacy.start = 0;
-  EXPECT_FALSE(MakeDecayedSum(decay, legacy).ok());
-}
-#pragma GCC diagnostic pop
-
 }  // namespace
 }  // namespace tds

@@ -1,9 +1,6 @@
-// Backpressure and admission-control tests for ShardedAggregateEngine —
-// both the ProducerSession surface and the deprecated engine-global
-// shims, whose historical contracts these tests pin (hence the
-// deliberate tds-lint allow markers on the legacy calls).
-//
-// staged producer waits, TryUpdateBatch deadlines, overload counters, and
+// Backpressure and admission-control tests for ShardedAggregateEngine's
+// ProducerSession ingest surface: staged producer waits, kBlockWithDeadline
+// admission (zero, short and generous deadlines), overload counters, and
 // the stopped-engine ingest contract (the regression that used to spin a
 // producer forever against a ring whose writer had already exited).
 //
@@ -14,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -23,6 +21,7 @@
 #include "decay/sliding_window.h"
 #include "engine/producer_session.h"
 #include "engine/registry.h"
+#include "util/check.h"
 
 namespace tds {
 namespace {
@@ -44,6 +43,31 @@ ShardedAggregateEngine::Options TinyRingOptions() {
   options.route_slices = 16;
   options.queue_capacity = 64;
   return options;
+}
+
+/// A session under the engine's own backpressure policy that auto-flushes
+/// every `staging_capacity` items.
+std::unique_ptr<ProducerSession> StagingSession(ShardedAggregateEngine& engine,
+                                                size_t staging_capacity) {
+  ProducerSessionOptions options;
+  options.staging_capacity = staging_capacity;
+  auto session = engine.NewProducer(options);
+  TDS_CHECK(session.ok());
+  return std::move(session).value();
+}
+
+/// A session that admits under kBlockWithDeadline with `deadline` per flush
+/// episode and auto-flushes every `staging_capacity` items.
+std::unique_ptr<ProducerSession> DeadlineSession(
+    ShardedAggregateEngine& engine, std::chrono::nanoseconds deadline,
+    size_t staging_capacity) {
+  ProducerSessionOptions options;
+  options.backpressure = BackpressurePolicy::kBlockWithDeadline;
+  options.block_deadline = deadline;
+  options.staging_capacity = staging_capacity;
+  auto session = engine.NewProducer(options);
+  TDS_CHECK(session.ok());
+  return std::move(session).value();
 }
 
 /// Blocks one shard's writer inside a writer command until Release() (or
@@ -87,16 +111,15 @@ TEST(BackpressureTest, TryUpdateBatchRejectsOnFullRingWithoutBlocking) {
   {
     WriterStall stall(**engine, 0);
 
-    // Fill the stalled ring one item at a time until admission fails. The
-    // zero deadline means each call makes exactly one push attempt, so
-    // this loop is bounded by the ring capacity.
-    const KeyedItem item{7, 1, 1};
+    // Fill the stalled ring one item at a time until admission fails. A
+    // one-item staging buffer flushes on every Add, and the zero deadline
+    // makes each flush exactly one push attempt, so this loop is bounded
+    // by the ring capacity.
+    auto session = DeadlineSession(**engine, std::chrono::nanoseconds(0), 1);
     uint64_t accepted = 0;
     Status status = Status::OK();
     for (int i = 0; i < 1000 && status.ok(); ++i) {
-      status = (*engine)->TryUpdateBatch(  // tds-lint: allow(deprecated-ingest)
-          {&item, 1},
-                                         std::chrono::nanoseconds(0));
+      status = session->Add(7, 1, 1);
       if (status.ok()) ++accepted;
     }
     ASSERT_EQ(status.code(), StatusCode::kUnavailable);
@@ -106,6 +129,7 @@ TEST(BackpressureTest, TryUpdateBatchRejectsOnFullRingWithoutBlocking) {
     const auto stats = (*engine)->Stats();
     ASSERT_EQ(stats.size(), 1u);
     EXPECT_GE(stats[0].items_rejected, 1u);
+    EXPECT_EQ(session->stats().items_rejected, stats[0].items_rejected);
 
     stall.Release();
     ASSERT_TRUE((*engine)->Flush().ok());
@@ -126,17 +150,17 @@ TEST(BackpressureTest, TryUpdateBatchDeadlineOutlastsStall) {
   // generous deadline while another thread releases the writer: the batch
   // must be admitted in full once the writer drains.
   std::vector<KeyedItem> fill(64, KeyedItem{1, 1, 1});
-  ASSERT_TRUE(
-      // The deprecated shim itself is the thing under test here.
-      (*engine)->TryUpdateBatch(fill, std::chrono::nanoseconds(0)).ok());  // tds-lint: allow(deprecated-ingest)
+  auto filler = DeadlineSession(**engine, std::chrono::nanoseconds(0), 1024);
+  ASSERT_TRUE(filler->AddBatch(fill).ok());
+  ASSERT_TRUE(filler->Flush().ok());
   std::vector<KeyedItem> batch(256, KeyedItem{2, 1, 1});
+  auto session = DeadlineSession(**engine, std::chrono::seconds(60), 1024);
+  ASSERT_TRUE(session->AddBatch(batch).ok());
   std::thread releaser([&stall] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     stall.Release();
   });
-  const Status status =
-      // The deprecated shim itself is the thing under test here.
-      (*engine)->TryUpdateBatch(batch, std::chrono::seconds(60));  // tds-lint: allow(deprecated-ingest)
+  const Status status = session->Flush();
   releaser.join();
   ASSERT_TRUE(status.ok()) << status.message();
   ASSERT_TRUE((*engine)->Flush().ok());
@@ -158,10 +182,13 @@ TEST(BackpressureTest, BlockWithDeadlinePolicyRejectsAndCounts) {
   ASSERT_TRUE(engine.ok());
   {
     WriterStall stall(**engine, 0);
-    // More items than the stalled ring can hold: the call must give up
-    // after ~block_deadline instead of blocking forever.
+    // More items than the stalled ring can hold: a session inheriting the
+    // engine-wide policy must give up after ~block_deadline instead of
+    // blocking forever.
     std::vector<KeyedItem> batch(1024, KeyedItem{3, 1, 1});
-    const Status status = (*engine)->IngestBatch(batch);  // tds-lint: allow(deprecated-ingest)
+    auto session = StagingSession(**engine, 2048);
+    ASSERT_TRUE(session->AddBatch(batch).ok());
+    const Status status = session->Flush();
     ASSERT_EQ(status.code(), StatusCode::kUnavailable);
     const auto stats = (*engine)->Stats();
     EXPECT_GE(stats[0].items_rejected, 1u);
@@ -181,7 +208,9 @@ TEST(BackpressureTest, SpinPolicyStillDrains) {
       SlidingWindowDecay::Create(1 << 20).value(), options);
   ASSERT_TRUE(engine.ok());
   std::vector<KeyedItem> batch(4096, KeyedItem{5, 1, 1});
-  ASSERT_TRUE((*engine)->IngestBatch(batch).ok());  // tds-lint: allow(deprecated-ingest)
+  auto session = StagingSession(**engine, 8192);
+  ASSERT_TRUE(session->AddBatch(batch).ok());
+  ASSERT_TRUE(session->Flush().ok());
   ASSERT_TRUE((*engine)->Flush().ok());
   EXPECT_EQ((*engine)->ItemsApplied(), 4096u);
 }
@@ -190,23 +219,32 @@ TEST(BackpressureTest, StoppedEngineFailsFastInsteadOfSpinning) {
   auto engine = ShardedAggregateEngine::Create(
       SlidingWindowDecay::Create(1 << 20).value(), TinyRingOptions());
   ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE((*engine)->Ingest(9, 1, 4).ok());  // tds-lint: allow(deprecated-ingest)
+  // Sessions opened before Stop() outlive it: one stages a batch larger
+  // than the ring, one waits with a generous admission deadline.
+  auto session = StagingSession(**engine, 4096);
+  auto patient = DeadlineSession(**engine, std::chrono::seconds(60), 4096);
+  ASSERT_TRUE(session->Add(9, 1, 4).ok());
+  ASSERT_TRUE(session->Flush().ok());
   ASSERT_TRUE((*engine)->Flush().ok());
+  std::vector<KeyedItem> batch(1024, KeyedItem{9, 2, 1});
+  ASSERT_TRUE(patient->AddBatch(batch).ok());
   (*engine)->Stop();
 
   // The regression: a batch larger than the ring used to spin forever
-  // against writers that had already exited. It must now fail fast.
-  std::vector<KeyedItem> batch(1024, KeyedItem{9, 2, 1});
-  EXPECT_EQ((*engine)->IngestBatch(batch).code(),  // tds-lint: allow(deprecated-ingest)
+  // against writers that had already exited. It must now fail fast —
+  // whether staged before Stop() (the flush refuses, even with a minute
+  // of deadline left) or offered after it (staging refuses).
+  EXPECT_EQ(patient->Flush().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session->AddBatch(batch).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ((*engine)->Ingest(9, 2, 1).code(),  // tds-lint: allow(deprecated-ingest)
+  EXPECT_EQ(session->Add(9, 2, 1).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(
-      // The deprecated shim itself is the thing under test here.
-      (*engine)->TryUpdateBatch(batch, std::chrono::seconds(60)).code(),  // tds-lint: allow(deprecated-ingest)
-      StatusCode::kFailedPrecondition);
-  // Nothing was admitted, so nothing counts as rejected-by-overload.
+  EXPECT_EQ((*engine)->NewProducer().status().code(),
+            StatusCode::kFailedPrecondition);
+  // Nothing was admitted, so nothing counts as rejected-by-overload, and
+  // the refused flush keeps its items staged.
   EXPECT_EQ((*engine)->Stats()[0].items_rejected, 0u);
+  EXPECT_EQ(patient->staged(), batch.size());
 
   // Flush on a drained stopped engine is a no-op success; Stop is
   // idempotent; queries keep serving the final published snapshot.
@@ -233,26 +271,23 @@ TEST(BackpressureTest, SessionFlushRespectsBlockDeadline) {
       SlidingWindowDecay::Create(1 << 20).value(), TinyRingOptions());
   ASSERT_TRUE(engine.ok());
 
-  ProducerSessionOptions session_options;
-  session_options.backpressure = BackpressurePolicy::kBlockWithDeadline;
-  session_options.block_deadline = std::chrono::milliseconds(5);
-  session_options.staging_capacity = 2048;  // no auto-flush mid-test
-  auto session = (*engine)->NewProducer(session_options);
-  ASSERT_TRUE(session.ok());
+  // Staging capacity 2048: no auto-flush mid-test.
+  auto session =
+      DeadlineSession(**engine, std::chrono::milliseconds(5), 2048);
   {
     WriterStall stall(**engine, 0);
     std::vector<KeyedItem> batch(1024, KeyedItem{3, 1, 1});
-    ASSERT_TRUE((*session)->AddBatch(batch).ok());
-    const Status status = (*session)->Flush();
+    ASSERT_TRUE(session->AddBatch(batch).ok());
+    const Status status = session->Flush();
     ASSERT_EQ(status.code(), StatusCode::kUnavailable);
     // The episode is settled either way: nothing stays staged, the
     // overflow is counted both on the shard and on the session.
-    EXPECT_EQ((*session)->staged(), 0u);
-    const auto stats = (*session)->stats();
+    EXPECT_EQ(session->staged(), 0u);
+    const auto stats = session->stats();
     EXPECT_GE(stats.items_rejected, 1u);
     EXPECT_EQ(stats.items_flushed + stats.items_rejected, 1024u);
     EXPECT_GE((*engine)->Stats()[0].items_rejected, 1u);
-    EXPECT_TRUE((*session)->AuditInvariants().ok());
+    EXPECT_TRUE(session->AuditInvariants().ok());
     stall.Release();
   }
   ASSERT_TRUE((*engine)->Flush().ok());
@@ -262,8 +297,8 @@ TEST(BackpressureTest, SessionFlushRespectsBlockDeadline) {
   EXPECT_EQ(shard_stats[0].items_applied + shard_stats[0].items_rejected,
             1024u);
   // The session keeps working once pressure clears.
-  ASSERT_TRUE((*session)->Add(3, 2, 1).ok());
-  ASSERT_TRUE((*session)->Flush().ok());
+  ASSERT_TRUE(session->Add(3, 2, 1).ok());
+  ASSERT_TRUE(session->Flush().ok());
   ASSERT_TRUE((*engine)->Flush().ok());
   const auto totals = (*engine)->SessionTotals();
   EXPECT_GE(totals.flush_stalls, 1u);

@@ -1,9 +1,13 @@
-// Incremental segment/manifest checkpoint tests (engine/checkpoint_log.h):
-// round-trips must be byte-identical to the engine's own snapshot blob,
-// incremental bytes must scale with churn rather than population,
-// compaction must fold without changing the recovered state, and every
-// injected fault — segment write, manifest commit, compaction — must leave
-// the previous manifest generation fully loadable.
+// Segment/manifest checkpoint tests (engine/checkpoint_log.h): round-trips
+// must be byte-identical to the engine's own snapshot blob, incremental
+// bytes must scale with churn rather than population, compaction must fold
+// without changing the recovered state, and every injected fault — segment
+// write, manifest commit, compaction — must leave the previous manifest
+// generation fully loadable. The CheckpointTest suite pins the contracts of
+// a *full* checkpoint, which is a log generation compacted to one base:
+// byte-identical restore and resume, fallback to the previous generation,
+// the fresh-engine precondition, option mismatches, and detection of every
+// torn-file shape in the manifest and in a data file.
 #include "engine/checkpoint_log.h"
 
 #include <chrono>
@@ -587,6 +591,278 @@ TEST(CheckpointLogTest, RetryDisabledFailsOnFirstFault) {
   ASSERT_TRUE(log.WriteIncremental().ok());
   EXPECT_EQ(RecoveredBlob(ec, dir), MergedBlob(*engine));
   std::filesystem::remove_all(dir);
+}
+
+/// A full checkpoint: one committed generation compacted to a single base.
+void WriteFullCheckpoint(ShardedAggregateEngine& engine,
+                         const std::string& dir) {
+  auto log = MakeLog(engine, dir);
+  ASSERT_TRUE(log.WriteIncremental().ok());
+  ASSERT_TRUE(log.Compact().ok());
+  ASSERT_EQ(log.manifest().entries.size(), 1u);
+  ASSERT_EQ(log.manifest().entries[0].shard, CheckpointLog::kBaseShard);
+}
+
+TEST(CheckpointTest, RoundTripIsByteIdentical) {
+  for (const EngineCase& ec : Cases()) {
+    SCOPED_TRACE(ec.label);
+    const std::string dir = TempDir(std::string("full_") + ec.label);
+    auto source = MakeTrackedEngine(ec);
+    Tick t = 1;
+    ASSERT_TRUE(SessionIngest(*source, Stream(200, t, 5000, &t)).ok());
+    WriteFullCheckpoint(*source, dir);
+    const std::string source_blob = MergedBlob(*source);
+
+    auto restored = MakeEngine(ec);
+    ASSERT_TRUE(RestoreFromCheckpointLog(*restored, dir).ok());
+    EXPECT_EQ(MergedBlob(*restored), source_blob);
+    EXPECT_EQ(restored->KeyCount(), source->KeyCount());
+    for (uint64_t key = 0; key < 80; ++key) {
+      EXPECT_DOUBLE_EQ(restored->QueryKey(key, t), source->QueryKey(key, t))
+          << "key=" << key;
+    }
+    auto merged = restored->Snapshot();
+    ASSERT_TRUE(merged.ok());
+    const auto source_top = source->Snapshot();
+    ASSERT_TRUE(source_top.ok());
+    const auto top_restored = merged->TopK(10, t);
+    const auto top_source = source_top->TopK(10, t);
+    ASSERT_EQ(top_restored.size(), top_source.size());
+    for (size_t i = 0; i < top_source.size(); ++i) {
+      EXPECT_EQ(top_restored[i].key, top_source[i].key);
+      EXPECT_DOUBLE_EQ(top_restored[i].weight, top_source[i].weight);
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(CheckpointTest, IngestAfterRestoreStaysByteIdenticalToUninterrupted) {
+  for (const EngineCase& ec : Cases()) {
+    SCOPED_TRACE(ec.label);
+    const std::string dir = TempDir(std::string("resume_") + ec.label);
+
+    // Checkpoint mid-stream, "crash" (destroy the engine), restore, feed
+    // the rest: the result must match an engine that never went down.
+    auto uninterrupted = MakeEngine(ec);
+    Tick t1 = 1;
+    const auto first = Stream(210, t1, 4000, &t1);
+    Tick t2 = t1;
+    const auto second = Stream(211, t2, 4000, &t2);
+    ASSERT_TRUE(SessionIngest(*uninterrupted, first).ok());
+    ASSERT_TRUE(SessionIngest(*uninterrupted, second).ok());
+    ASSERT_TRUE(uninterrupted->Flush().ok());
+
+    {
+      auto crashing = MakeTrackedEngine(ec);
+      ASSERT_TRUE(SessionIngest(*crashing, first).ok());
+      WriteFullCheckpoint(*crashing, dir);
+    }  // destroyed: everything after the checkpoint is lost, as in a crash
+
+    auto restored = MakeEngine(ec);
+    ASSERT_TRUE(RestoreFromCheckpointLog(*restored, dir).ok());
+    ASSERT_TRUE(SessionIngest(*restored, second).ok());
+    ASSERT_TRUE(restored->Flush().ok());
+    EXPECT_EQ(MergedBlob(*restored), MergedBlob(*uninterrupted));
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(CheckpointTest, CorruptionIsDetected) {
+  const EngineCase ec = Cases()[0];
+  struct Mutilation {
+    const char* label;
+    void (*apply)(const std::string& path);
+  };
+  const Mutilation mutilations[] = {
+      {"truncate-1", [](const std::string& p) {
+         std::filesystem::resize_file(p, std::filesystem::file_size(p) - 1);
+       }},
+      {"truncate-half", [](const std::string& p) {
+         std::filesystem::resize_file(p, std::filesystem::file_size(p) / 2);
+       }},
+      {"truncate-empty", [](const std::string& p) {
+         std::filesystem::resize_file(p, 0);
+       }},
+      {"bitflip-middle", [](const std::string& p) {
+         std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
+         const auto size =
+             static_cast<std::streamoff>(std::filesystem::file_size(p));
+         f.seekg(size / 2);
+         char byte = 0;
+         f.read(&byte, 1);
+         byte = static_cast<char>(byte ^ 0x40);
+         f.seekp(size / 2);
+         f.write(&byte, 1);
+       }},
+      {"bitflip-footer", [](const std::string& p) {
+         std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
+         const auto size =
+             static_cast<std::streamoff>(std::filesystem::file_size(p));
+         f.seekg(size - 4);
+         char byte = 0;
+         f.read(&byte, 1);
+         byte = static_cast<char>(byte ^ 0x01);
+         f.seekp(size - 4);
+         f.write(&byte, 1);
+       }},
+  };
+  // Victims: the manifest (the commit point) and a segment it names. A
+  // single committed generation means no .prev exists to fall back on, so
+  // every load must fail outright — never restore from damaged bytes.
+  for (const bool victim_is_manifest : {true, false}) {
+    for (const Mutilation& m : mutilations) {
+      SCOPED_TRACE(std::string(victim_is_manifest ? "manifest " : "segment ") +
+                   m.label);
+      const std::string dir = TempDir("corrupt");
+      {
+        auto writer = MakeTrackedEngine(ec);
+        auto log = MakeLog(*writer, dir);
+        Tick t = 1;
+        ASSERT_TRUE(SessionIngest(*writer, Stream(220, t, 2000, &t)).ok());
+        ASSERT_TRUE(log.WriteIncremental().ok());
+      }
+      ASSERT_FALSE(std::filesystem::exists(dir + "/MANIFEST.tds.prev"));
+      auto manifest = LoadManifest(dir);
+      ASSERT_TRUE(manifest.ok());
+      m.apply(dir + "/" + (victim_is_manifest
+                               ? std::string("MANIFEST.tds")
+                               : manifest->entries[0].file));
+      EXPECT_FALSE(
+          LoadCheckpointLog(ec.decay, EngineOptions(ec).registry, dir).ok());
+      auto restored = MakeEngine(ec);
+      EXPECT_FALSE(RestoreFromCheckpointLog(*restored, dir).ok());
+      // The failed restore left the engine fresh and usable.
+      EXPECT_EQ(restored->KeyCount(), 0u);
+      EXPECT_TRUE(SessionIngest(*restored, 1, 1, 1).ok());
+      EXPECT_TRUE(restored->Flush().ok());
+      EXPECT_EQ(restored->ItemsApplied(), 1u);
+      std::filesystem::remove_all(dir);
+    }
+  }
+}
+
+TEST(CheckpointTest, CorruptPrimaryFallsBackToPreviousCheckpoint) {
+  const EngineCase ec = Cases()[0];
+  const std::string dir = TempDir("fallback");
+  auto engine = MakeTrackedEngine(ec);
+  auto log = MakeLog(*engine, dir);
+  Tick t = 1;
+  ASSERT_TRUE(SessionIngest(*engine, Stream(240, t, 3000, &t)).ok());
+  ASSERT_TRUE(log.WriteIncremental().ok());
+  ASSERT_TRUE(log.Compact().ok());
+  const std::string full_blob = MergedBlob(*engine);
+
+  // The next commit rotates the full checkpoint to .prev; then the primary
+  // is torn. Recovery must land on the full checkpoint, byte-exact — its
+  // base file kept alive by GC because .prev names it.
+  ASSERT_TRUE(SessionIngest(*engine, Stream(241, t, 3000, &t)).ok());
+  ASSERT_TRUE(log.WriteIncremental().ok());
+  ASSERT_NE(MergedBlob(*engine), full_blob);
+  const std::string manifest_path = dir + "/MANIFEST.tds";
+  ASSERT_TRUE(std::filesystem::exists(manifest_path + ".prev"));
+  std::filesystem::resize_file(manifest_path,
+                               std::filesystem::file_size(manifest_path) / 3);
+
+  auto restored = MakeEngine(ec);
+  ASSERT_TRUE(RestoreFromCheckpointLog(*restored, dir).ok());
+  EXPECT_EQ(MergedBlob(*restored), full_blob);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointTest, BothGenerationsFailingReportsBothErrors) {
+  // With the primary *and* .prev both damaged, the error must name both
+  // failures — not hide that the fallback was tried, and why it failed.
+  const EngineCase ec = Cases()[0];
+  const std::string dir = TempDir("both_bad");
+  auto engine = MakeTrackedEngine(ec);
+  auto log = MakeLog(*engine, dir);
+  Tick t = 1;
+  ASSERT_TRUE(SessionIngest(*engine, Stream(250, t, 1000, &t)).ok());
+  ASSERT_TRUE(log.WriteIncremental().ok());
+  ASSERT_TRUE(log.Compact().ok());
+  ASSERT_TRUE(SessionIngest(*engine, Stream(251, t, 1000, &t)).ok());
+  ASSERT_TRUE(log.WriteIncremental().ok());
+  const std::string manifest_path = dir + "/MANIFEST.tds";
+  ASSERT_TRUE(std::filesystem::exists(manifest_path + ".prev"));
+
+  // Different failure shapes: truncate the primary below the footer,
+  // corrupt a payload byte in the fallback.
+  std::filesystem::resize_file(manifest_path, 5);
+  {
+    std::fstream f(manifest_path + ".prev",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(10);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x3c);
+    f.seekp(10);
+    f.write(&byte, 1);
+  }
+  auto loaded = LoadCheckpointLog(ec.decay, EngineOptions(ec).registry, dir);
+  ASSERT_FALSE(loaded.ok());
+  const std::string& msg = loaded.status().message();
+  EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("fallback"), std::string::npos) << msg;
+  EXPECT_NE(msg.find(".prev"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("mismatch"), std::string::npos) << msg;
+  auto restored = MakeEngine(ec);
+  EXPECT_FALSE(RestoreFromCheckpointLog(*restored, dir).ok());
+  EXPECT_EQ(restored->KeyCount(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointTest, RestoreRequiresFreshEngine) {
+  const EngineCase ec = Cases()[0];
+  const std::string dir = TempDir("fresh");
+  auto source = MakeTrackedEngine(ec);
+  Tick t = 1;
+  ASSERT_TRUE(SessionIngest(*source, Stream(230, t, 500, &t)).ok());
+  WriteFullCheckpoint(*source, dir);
+
+  auto dirty = MakeEngine(ec);
+  ASSERT_TRUE(SessionIngest(*dirty, 1, 1, 1).ok());
+  ASSERT_TRUE(dirty->Flush().ok());
+  EXPECT_EQ(RestoreFromCheckpointLog(*dirty, dir).code(),
+            StatusCode::kFailedPrecondition);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointTest, OptionsMismatchIsRejected) {
+  const EngineCase ec = Cases()[0];
+  const std::string dir = TempDir("mismatch");
+  auto source = MakeTrackedEngine(ec);
+  Tick t = 1;
+  ASSERT_TRUE(SessionIngest(*source, Stream(260, t, 500, &t)).ok());
+  WriteFullCheckpoint(*source, dir);
+
+  // Same decay, different epsilon: loading and restoring must refuse, and
+  // the refused engine stays fresh.
+  ShardedAggregateEngine::Options other = EngineOptions(ec);
+  other.registry = RegistryOptions(ec.backend, 0.3);
+  EXPECT_FALSE(LoadCheckpointLog(ec.decay, other.registry, dir).ok());
+  auto mismatched = ShardedAggregateEngine::Create(ec.decay, other);
+  ASSERT_TRUE(mismatched.ok());
+  EXPECT_FALSE(RestoreFromCheckpointLog(**mismatched, dir).ok());
+  EXPECT_EQ((*mismatched)->KeyCount(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointTest, MissingFileFailsCleanly) {
+  const EngineCase ec = Cases()[0];
+  auto engine = MakeEngine(ec);
+  // A directory that does not exist, and one that exists but holds no
+  // manifest: neither is a checkpoint, and neither touches the engine.
+  const std::string missing = TempDir("does_not_exist");
+  EXPECT_FALSE(RestoreFromCheckpointLog(*engine, missing).ok());
+  const std::string empty = TempDir("empty");
+  ASSERT_TRUE(std::filesystem::create_directories(empty));
+  EXPECT_FALSE(RestoreFromCheckpointLog(*engine, empty).ok());
+  EXPECT_FALSE(
+      LoadCheckpointLog(ec.decay, EngineOptions(ec).registry, empty).ok());
+  EXPECT_TRUE(SessionIngest(*engine, 1, 1, 1).ok());
+  EXPECT_TRUE(engine->Flush().ok());
+  EXPECT_EQ(engine->ItemsApplied(), 1u);
+  std::filesystem::remove_all(empty);
 }
 
 }  // namespace

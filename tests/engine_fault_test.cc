@@ -219,17 +219,22 @@ TEST_F(EngineFaultTest, RingPushStickyFaultRejectsNonBlockingAdmission) {
   auto engine = ShardedAggregateEngine::Create(
       SlidingWindowDecay::Create(1 << 20).value(), options);
   ASSERT_TRUE(engine.ok());
+  // Non-blocking admission: a zero kBlockWithDeadline deadline makes each
+  // flush exactly one push attempt per shard.
+  ProducerSessionOptions session_options;
+  session_options.backpressure = BackpressurePolicy::kBlockWithDeadline;
+  session_options.block_deadline = std::chrono::nanoseconds(0);
+  auto session = (*engine)->NewProducer(session_options);
+  ASSERT_TRUE(session.ok());
   failpoint::Arm("engine.ring.push", {.fire_on_hit = 1, .sticky = true});
-  // Deliberately exercises the deprecated TryUpdateBatch shim: its
-  // zero-deadline admission contract under sticky faults is pinned here.
-  const KeyedItem item{1, 1, 1};
-  const Status status = (*engine)->TryUpdateBatch(  // tds-lint: allow(deprecated-ingest)
-      {&item, 1}, std::chrono::nanoseconds(0));
+  ASSERT_TRUE((*session)->Add(1, 1, 1).ok());
+  const Status status = (*session)->Flush();
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
   EXPECT_GE((*engine)->Stats()[0].items_rejected, 1u);
+  EXPECT_EQ((*session)->stats().items_rejected, 1u);
   failpoint::DisarmAll();
-  ASSERT_TRUE((*engine)->TryUpdateBatch(  // tds-lint: allow(deprecated-ingest)
-      {&item, 1}, std::chrono::nanoseconds(0)).ok());
+  ASSERT_TRUE((*session)->Add(1, 1, 1).ok());
+  ASSERT_TRUE((*session)->Flush().ok());
   ASSERT_TRUE((*engine)->Flush().ok());
   EXPECT_EQ((*engine)->ItemsApplied(), 1u);
 }

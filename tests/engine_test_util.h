@@ -11,9 +11,7 @@
 namespace tds {
 
 /// Stages `items` on a one-shot ProducerSession and flushes them — the
-/// canonical way for a test to feed an engine a whole batch since the
-/// producer-session redesign (the deprecated engine-global shims are only
-/// called by the tests that pin their contracts).
+/// canonical way for a test to feed an engine a whole batch.
 inline Status SessionIngest(ShardedAggregateEngine& engine,
                             std::span<const KeyedItem> items) {
   ProducerSessionOptions options;

@@ -1,15 +1,16 @@
 // Dual-mode fuzz driver for the flat (SoA) histogram layout: every run
-// drives a kFlat instance and its kChain twin through the same fuzzed op
-// stream and requires them to stay bit-identical — equal estimates (exact,
-// not ULP-tolerant: the layouts share every arithmetic step), byte-equal
+// drives a library structure and its chain-layout reference
+// (tests/reference/chain_histograms.h) through the same fuzzed op stream
+// and requires them to stay bit-identical — equal estimates (exact, not
+// ULP-tolerant: both sides share every arithmetic step), byte-equal
 // EncodeState output, matching bucket counts, and green AuditInvariants()
 // on both sides after every operation. Two harnesses share the input
-// stream: an ExponentialHistogram pair (Add / AdvanceTo / MergeFrom /
-// snapshot round-trips that swap layouts) and a CoarseCehDecayedSum pair
-// (whose stochastic aging must consume RNG words in the same order in both
-// layouts). The gtest-free cores run both as deterministic ctest targets
-// and — under -DTDS_LIBFUZZER — as coverage-guided harnesses
-// (docs/CORRECTNESS.md, "Dual-mode fuzzing").
+// stream: an ExponentialHistogram vs ChainEh pair (Add / AdvanceTo /
+// MergeFrom / snapshot round-trips that swap sides) and a
+// CoarseCehDecayedSum vs ChainCoarseCeh pair (whose stochastic aging must
+// consume RNG words in the same order on both sides). The gtest-free cores
+// run both as deterministic ctest targets and — under -DTDS_LIBFUZZER — as
+// coverage-guided harnesses (docs/CORRECTNESS.md, "Dual-mode fuzzing").
 #include <algorithm>
 #include <string>
 #include <utility>
@@ -18,27 +19,31 @@
 #include "decay/polynomial.h"
 #include "fuzz_util.h"
 #include "histogram/exponential_histogram.h"
+#include "reference/chain_histograms.h"
 #include "util/codec.h"
 #include "util/common.h"
 
 namespace tds {
 namespace {
 
-ExponentialHistogram MakeLayoutEh(double epsilon, Tick window,
-                                  HistogramLayout layout,
-                                  const FuzzInput& in) {
+using reference::ChainCoarseCeh;
+using reference::ChainEh;
+
+// Creates either side of the EH pair (ExponentialHistogram or ChainEh).
+template <typename Eh>
+Eh MakeEh(double epsilon, Tick window, const FuzzInput& in) {
   ExponentialHistogram::Options options;
   options.epsilon = epsilon;
   options.window = window;
-  options.layout = layout;
-  auto eh = ExponentialHistogram::Create(options);
+  auto eh = Eh::Create(options);
   TDS_FUZZ_CHECK(eh.ok(), in, "Create: ", eh.status().ToString());
   return std::move(eh).value();
 }
 
-std::string EncodedEh(const ExponentialHistogram& eh) {
+template <typename T>
+std::string Encoded(const T& structure) {
   Encoder encoder;
-  eh.EncodeState(encoder);
+  structure.EncodeState(encoder);
   return encoder.Finish();
 }
 
@@ -48,12 +53,10 @@ struct FlatEhFuzzConfig {
   int max_ops;
 };
 
-// Harness 0: ExponentialHistogram flat-vs-chain lockstep.
+// Harness 0: ExponentialHistogram vs ChainEh lockstep.
 void RunFlatEhFuzz(const FlatEhFuzzConfig& config, FuzzInput& in) {
-  ExponentialHistogram flat =
-      MakeLayoutEh(config.epsilon, config.window, HistogramLayout::kFlat, in);
-  ExponentialHistogram chain = MakeLayoutEh(config.epsilon, config.window,
-                                            HistogramLayout::kChain, in);
+  auto flat = MakeEh<ExponentialHistogram>(config.epsilon, config.window, in);
+  auto chain = MakeEh<ChainEh>(config.epsilon, config.window, in);
   Tick now = 0;
 
   auto check = [&](const char* op) {
@@ -65,7 +68,7 @@ void RunFlatEhFuzz(const FlatEhFuzzConfig& config, FuzzInput& in) {
                    "total-count drift after ", op);
     TDS_FUZZ_CHECK(flat.Estimate() == chain.Estimate(), in,
                    "estimate drift after ", op);
-    TDS_FUZZ_CHECK(EncodedEh(flat) == EncodedEh(chain), in,
+    TDS_FUZZ_CHECK(Encoded(flat) == Encoded(chain), in,
                    "snapshot bytes drift after ", op);
   };
 
@@ -90,16 +93,17 @@ void RunFlatEhFuzz(const FlatEhFuzzConfig& config, FuzzInput& in) {
       chain.AdvanceTo(now);
       check("AdvanceTo");
     } else if (kind < 85) {
-      // Snapshot round-trip that SWAPS layouts: flat's bytes restore onto a
-      // fresh chain twin and vice versa, then the run continues on the
-      // restored pair — codec asymmetries poison every later comparison.
-      const std::string blob = EncodedEh(flat);
-      ExponentialHistogram flat2 = MakeLayoutEh(
-          config.epsilon, config.window, HistogramLayout::kFlat, in);
-      ExponentialHistogram chain2 = MakeLayoutEh(
-          config.epsilon, config.window, HistogramLayout::kChain, in);
-      Decoder to_flat(blob);
-      Decoder to_chain(blob);
+      // Snapshot round-trip that SWAPS sides: the flat bytes restore onto a
+      // fresh reference and the reference's bytes onto a fresh flat
+      // histogram, then the run continues on the restored pair — codec
+      // asymmetries poison every later comparison.
+      const std::string flat_blob = Encoded(flat);
+      const std::string chain_blob = Encoded(chain);
+      auto flat2 =
+          MakeEh<ExponentialHistogram>(config.epsilon, config.window, in);
+      auto chain2 = MakeEh<ChainEh>(config.epsilon, config.window, in);
+      Decoder to_flat(chain_blob);
+      Decoder to_chain(flat_blob);
       TDS_FUZZ_CHECK_OK(flat2.DecodeState(to_flat), in, "flat decode");
       TDS_FUZZ_CHECK_OK(chain2.DecodeState(to_chain), in, "chain decode");
       TDS_FUZZ_CHECK(to_flat.Done() && to_chain.Done(), in,
@@ -109,10 +113,9 @@ void RunFlatEhFuzz(const FlatEhFuzzConfig& config, FuzzInput& in) {
       check("DecodeState");
     } else if (kind < 93) {
       // Disjoint-substream merge from a twin donor pair.
-      ExponentialHistogram flat_donor = MakeLayoutEh(
-          config.epsilon, config.window, HistogramLayout::kFlat, in);
-      ExponentialHistogram chain_donor = MakeLayoutEh(
-          config.epsilon, config.window, HistogramLayout::kChain, in);
+      auto flat_donor =
+          MakeEh<ExponentialHistogram>(config.epsilon, config.window, in);
+      auto chain_donor = MakeEh<ChainEh>(config.epsilon, config.window, in);
       const int burst = 1 + static_cast<int>(in.Below(40));
       Tick donor_now = std::max<Tick>(1, now - static_cast<Tick>(in.Below(20)));
       for (int i = 0; i < burst; ++i) {
@@ -126,7 +129,7 @@ void RunFlatEhFuzz(const FlatEhFuzzConfig& config, FuzzInput& in) {
       TDS_FUZZ_CHECK_OK(chain.MergeFrom(chain_donor), in, "chain MergeFrom");
       check("MergeFrom");
     } else {
-      // Lemma 4.1 windows must agree exactly across layouts.
+      // Lemma 4.1 windows must agree exactly across implementations.
       flat.AdvanceTo(now);
       chain.AdvanceTo(now);
       const Tick w = 1 + static_cast<Tick>(
@@ -138,27 +141,20 @@ void RunFlatEhFuzz(const FlatEhFuzzConfig& config, FuzzInput& in) {
   }
 }
 
-// Harness 1: CoarseCehDecayedSum flat-vs-chain lockstep. The coarse CEH's
-// stochastic aging sweep draws from its own RNG per bucket, so this harness
-// pins the flat layout's RNG consumption order (ascending class, oldest
-// bucket first within a class) to the chain's.
+// Harness 1: CoarseCehDecayedSum vs ChainCoarseCeh lockstep. The coarse
+// CEH's stochastic aging sweep draws from its own RNG per bucket, so this
+// harness pins the flat layout's RNG consumption order (ascending class,
+// oldest bucket first within a class) to the reference's.
 void RunFlatCoarseFuzz(uint64_t seed, FuzzInput& in) {
   auto decay = PolynomialDecay::Create(1.0 + 0.5 * in.Below(4));
   TDS_FUZZ_CHECK(decay.ok(), in, "decay: ", decay.status().ToString());
   CoarseCehDecayedSum::Options flat_options;
   flat_options.seed = seed;
-  flat_options.layout = HistogramLayout::kFlat;
-  CoarseCehDecayedSum::Options chain_options = flat_options;
-  chain_options.layout = HistogramLayout::kChain;
   auto flat = CoarseCehDecayedSum::Create(decay.value(), flat_options);
-  auto chain = CoarseCehDecayedSum::Create(decay.value(), chain_options);
-  TDS_FUZZ_CHECK(flat.ok() && chain.ok(), in, "CoarseCEH create");
-
-  auto encoded = [](CoarseCehDecayedSum& sum) {
-    Encoder encoder;
-    sum.EncodeState(encoder);
-    return encoder.Finish();
-  };
+  TDS_FUZZ_CHECK(flat.ok(), in, "CoarseCEH create");
+  ChainCoarseCeh::Options chain_options;
+  chain_options.seed = seed;
+  ChainCoarseCeh chain(decay.value(), chain_options);
 
   Tick now = 1;
   for (int op = 0; op < 1500 && !in.exhausted(); ++op) {
@@ -166,19 +162,19 @@ void RunFlatCoarseFuzz(uint64_t seed, FuzzInput& in) {
       now += static_cast<Tick>(in.Below(3));
       const uint64_t value = 1 + in.Below(16);
       (*flat)->Update(now, value);
-      (*chain)->Update(now, value);
+      chain.Update(now, value);
     } else {
       now += static_cast<Tick>(in.Below(96));
       (*flat)->Advance(now);
-      (*chain)->Advance(now);
+      chain.Advance(now);
     }
     TDS_FUZZ_CHECK_OK((*flat)->AuditInvariants(), in, "flat audit");
-    TDS_FUZZ_CHECK_OK((*chain)->AuditInvariants(), in, "chain audit");
-    TDS_FUZZ_CHECK((*flat)->BucketCount() == (*chain)->BucketCount(), in,
+    TDS_FUZZ_CHECK_OK(chain.AuditInvariants(), in, "chain audit");
+    TDS_FUZZ_CHECK((*flat)->BucketCount() == chain.BucketCount(), in,
                    "bucket-count drift");
-    TDS_FUZZ_CHECK((*flat)->Query(now) == (*chain)->Query(now), in,
+    TDS_FUZZ_CHECK((*flat)->Query(now) == chain.Query(now), in,
                    "query drift (RNG order?) at now=", now);
-    TDS_FUZZ_CHECK(encoded(**flat) == encoded(**chain), in,
+    TDS_FUZZ_CHECK(Encoded(**flat) == Encoded(chain), in,
                    "snapshot bytes drift at now=", now);
   }
 }
@@ -195,7 +191,7 @@ namespace {
 
 struct FuzzCase {
   uint64_t seed;
-  int harness;  // 0 = EH twins, 1 = CoarseCEH twins
+  int harness;  // 0 = EH pair, 1 = CoarseCEH pair
   double epsilon;
   Tick window;
   int ops;

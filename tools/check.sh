@@ -144,10 +144,10 @@ for stage in $STAGES; do
       # The fault matrix must actually run in this build (elsewhere the
       # suites GTEST_SKIP without failpoints): --no-tests=error turns a
       # silently-skipped matrix into a hard failure.
-      log "faults leg: fault matrix + checkpoint/backpressure suites present"
+      log "faults leg: fault matrix + checkpoint-log/backpressure suites present"
       ctest --test-dir "$ROOT/build-faults" --output-on-failure \
         --no-tests=error \
-        -R 'EngineFault|CheckpointTest|BackpressureTest|CheckpointLog|Standby'
+        -R 'EngineFault|BackpressureTest|CheckpointLog|Standby'
       # The flat-layout twins must also survive the failpoint build (the
       # decode funnels they drive are failpoint-instrumented).
       log "faults leg: flat-layout differential + fuzz driver present"

@@ -38,47 +38,39 @@ if "$CLI" --engine=2 --save="$TMP/state.tds" "$TMP/keyed.txt" > /dev/null 2>&1; 
   exit 1
 fi
 
-# Engine checkpoint/restore: ingest -> checkpoint, restore into a fresh
-# engine with no further input -> identical top-k report (comments carry
-# run-local counters, so compare the data rows only).
-"$CLI" --decay=sliwin:64 --engine=2 --topk=3 --checkpoint="$TMP/engine.ckpt" \
-  "$TMP/keyed.txt" > "$TMP/ckpt_run.txt" 2> "$TMP/ckpt_err.txt"
-grep -q '# checkpoint -> ' "$TMP/ckpt_err.txt"
-: > "$TMP/empty.txt"
-"$CLI" --decay=sliwin:64 --engine=2 --topk=3 --restore="$TMP/engine.ckpt" \
-  "$TMP/empty.txt" > "$TMP/restored_run.txt"
-grep -v '^#' "$TMP/ckpt_run.txt" > "$TMP/ckpt_rows.txt"
-grep -v '^#' "$TMP/restored_run.txt" > "$TMP/restored_rows.txt"
-cmp "$TMP/ckpt_rows.txt" "$TMP/restored_rows.txt"
+# Bad numeric flags exit 2 with the validator's message, in both modes,
+# instead of aborting or silently truncating.
+expect_usage_error() {
+  # $1: label; remaining args: the CLI arguments.
+  label="$1"
+  shift
+  status=0
+  "$CLI" "$@" "$TMP/keyed.txt" > /dev/null 2> "$TMP/usage_err.txt" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q '^error: ' "$TMP/usage_err.txt"; then
+    echo "expected $label to exit 2 with an error (got $status)" >&2
+    exit 1
+  fi
+}
+expect_usage_error "--epsilon=0 --engine=2" --epsilon=0 --engine=2
+expect_usage_error "--epsilon=2" --epsilon=2
+expect_usage_error "--engine=4294967297" --engine=4294967297
 
-# Checkpoint mid-stream + restore + remainder must equal one uninterrupted
-# run (crash/recover then catch up).
+# The uninterrupted engine run the checkpointed runs below must match
+# (comments carry run-local counters, so compare the data rows only).
 printf '1 7 3\n1 9 2\n' > "$TMP/keyed_p1.txt"
 printf '2 7 5\n3 11 1\n' > "$TMP/keyed_p2.txt"
-"$CLI" --decay=sliwin:64 --engine=2 --topk=3 --checkpoint="$TMP/mid.ckpt" \
-  "$TMP/keyed_p1.txt" > /dev/null 2> /dev/null
-"$CLI" --decay=sliwin:64 --engine=2 --topk=3 --restore="$TMP/mid.ckpt" \
-  "$TMP/keyed_p2.txt" | grep -v '^#' > "$TMP/resumed_engine.txt"
-cmp "$TMP/resumed_engine.txt" "$TMP/ckpt_rows.txt"
-
-# A torn (truncated) checkpoint with no .prev must refuse to restore.
-SIZE="$(wc -c < "$TMP/mid.ckpt")"
-head -c "$((SIZE - 5))" "$TMP/mid.ckpt" > "$TMP/torn.ckpt"
-if "$CLI" --decay=sliwin:64 --engine=2 --restore="$TMP/torn.ckpt" \
-  "$TMP/empty.txt" > /dev/null 2>&1; then
-  echo "expected truncated checkpoint restore to fail" >&2
-  exit 1
-fi
+: > "$TMP/empty.txt"
+"$CLI" --decay=sliwin:64 --engine=2 --topk=3 "$TMP/keyed.txt" \
+  | grep -v '^#' > "$TMP/full_rows.txt"
 
 # Checkpoint options require engine mode.
-if "$CLI" --checkpoint="$TMP/x.ckpt" "$TMP/stream.txt" > /dev/null 2>&1; then
-  echo "expected --checkpoint without --engine to fail" >&2
+if "$CLI" --checkpoint-dir="$TMP/x" "$TMP/stream.txt" > /dev/null 2>&1; then
+  echo "expected --checkpoint-dir without --engine to fail" >&2
   exit 1
 fi
 
-# Incremental checkpoint log: two chained runs committing generations 1 and
-# 2 into one directory must equal the uninterrupted run (same rows as the
-# monolithic-checkpoint scenario above).
+# Checkpoint log: two chained runs committing generations 1 and 2 into one
+# directory must equal the uninterrupted run.
 "$CLI" --decay=sliwin:64 --engine=2 --topk=3 \
   --checkpoint-dir="$TMP/ckptlog" "$TMP/keyed_p1.txt" \
   > /dev/null 2> "$TMP/ckptlog_err1.txt"
@@ -88,7 +80,7 @@ grep -q 'generation 1' "$TMP/ckptlog_err1.txt"
   2> "$TMP/ckptlog_err2.txt" | grep -v '^#' > "$TMP/ckptlog_rows.txt"
 grep -q '# resumed from checkpoint log' "$TMP/ckptlog_err2.txt"
 grep -q 'generation 2' "$TMP/ckptlog_err2.txt"
-cmp "$TMP/ckptlog_rows.txt" "$TMP/ckpt_rows.txt"
+cmp "$TMP/ckptlog_rows.txt" "$TMP/full_rows.txt"
 
 # Standby catch-up + promote: a follower fed only the checkpoint directory
 # must promote into an engine with the identical report, and the promoted
@@ -98,7 +90,7 @@ cmp "$TMP/ckptlog_rows.txt" "$TMP/ckpt_rows.txt"
   2> "$TMP/standby_err.txt" | grep -v '^#' > "$TMP/promoted_rows.txt"
 grep -q 'standby caught up to generation 2' "$TMP/standby_err.txt"
 grep -q 'promoted standby -> primary' "$TMP/standby_err.txt"
-cmp "$TMP/promoted_rows.txt" "$TMP/ckpt_rows.txt"
+cmp "$TMP/promoted_rows.txt" "$TMP/full_rows.txt"
 printf '4 7 2\n' > "$TMP/keyed_p3.txt"
 "$CLI" --decay=sliwin:64 --engine=2 --topk=1 \
   --promote-from="$TMP/ckptlog" "$TMP/keyed_p3.txt" 2> /dev/null \
@@ -113,6 +105,28 @@ fi
 if "$CLI" --decay=sliwin:32 --engine=2 \
   --promote-from="$TMP/ckptlog" "$TMP/empty.txt" > /dev/null 2>&1; then
   echo "expected standby decay mismatch to fail" >&2
+  exit 1
+fi
+
+# A torn MANIFEST.tds with no .prev to fall back on must be refused by both
+# resume and promote.
+"$CLI" --decay=sliwin:64 --engine=2 --checkpoint-dir="$TMP/tornlog" \
+  "$TMP/keyed_p1.txt" > /dev/null 2> /dev/null
+if [ -e "$TMP/tornlog/MANIFEST.tds.prev" ]; then
+  echo "expected a single-generation log without MANIFEST.tds.prev" >&2
+  exit 1
+fi
+SIZE="$(wc -c < "$TMP/tornlog/MANIFEST.tds")"
+head -c "$((SIZE - 5))" "$TMP/tornlog/MANIFEST.tds" > "$TMP/torn_manifest"
+mv "$TMP/torn_manifest" "$TMP/tornlog/MANIFEST.tds"
+if "$CLI" --decay=sliwin:64 --engine=2 --checkpoint-dir="$TMP/tornlog" \
+  "$TMP/empty.txt" > /dev/null 2>&1; then
+  echo "expected a torn manifest to refuse --checkpoint-dir" >&2
+  exit 1
+fi
+if "$CLI" --decay=sliwin:64 --engine=2 --promote-from="$TMP/tornlog" \
+  "$TMP/empty.txt" > /dev/null 2>&1; then
+  echo "expected a torn manifest to refuse --promote-from" >&2
   exit 1
 fi
 echo CLI_SMOKE_OK

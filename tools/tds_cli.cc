@@ -18,6 +18,7 @@
 //   tds_cli --decay=sliwin:4096 --save=state.tds stream_part1.txt
 //   tds_cli --decay=sliwin:4096 --load=state.tds stream_part2.txt
 //   tds_cli --decay=sliwin:4096 --engine=4 --topk=20 keyed_stream.txt
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,7 +34,6 @@
 #include "decay/exponential.h"
 #include "decay/polynomial.h"
 #include "decay/sliding_window.h"
-#include "engine/checkpoint.h"
 #include "engine/checkpoint_log.h"
 #include "engine/engine.h"
 #include "engine/producer_session.h"
@@ -62,11 +62,6 @@ void Usage() {
       "                       --probe/--save/--load)\n"
       "  --topk=K             keys to print in the engine report\n"
       "                       (default 10)\n"
-      "  --checkpoint=FILE    (engine mode) write a crash-consistent\n"
-      "                       checkpoint after the stream ends\n"
-      "  --restore=FILE       (engine mode) restore from a checkpoint\n"
-      "                       before ingesting (decay/backend/epsilon must\n"
-      "                       match the checkpointed run)\n"
       "  --checkpoint-dir=DIR (engine mode) incremental checkpoint log:\n"
       "                       resume from DIR's committed manifest if one\n"
       "                       exists, then commit one incremental segment\n"
@@ -106,18 +101,12 @@ StatusOr<Backend> ParseBackend(const std::string& name) {
 
 /// Sharded engine mode: "tick key value" triples -> batch ingest with
 /// periodic skew checks -> merged-snapshot report.
-int RunEngineMode(DecayPtr decay, Backend backend, double epsilon,
+int RunEngineMode(DecayPtr decay, const AggregateOptions& aggregate,
                   uint32_t shards, size_t topk,
-                  const std::string& checkpoint_path,
-                  const std::string& restore_path,
                   const std::string& checkpoint_dir,
                   const std::string& promote_dir, std::istream& in) {
   ShardedAggregateEngine::Options options;
-  options.registry.aggregate = AggregateOptions::Builder()
-                                   .backend(backend)
-                                   .epsilon(epsilon)
-                                   .Build()
-                                   .value();
+  options.registry.aggregate = aggregate;
   options.shards = shards;
   StatusOr<std::unique_ptr<ShardedAggregateEngine>> engine =
       Status::FailedPrecondition("engine not created");
@@ -150,14 +139,6 @@ int RunEngineMode(DecayPtr decay, Backend backend, double epsilon,
   if (!engine.ok()) {
     std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
     return 1;
-  }
-  if (!restore_path.empty()) {
-    const Status restored = RestoreFromCheckpoint(**engine, restore_path);
-    if (!restored.ok()) {
-      std::fprintf(stderr, "error: %s\n", restored.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "# restored from %s\n", restore_path.c_str());
   }
   std::unique_ptr<CheckpointLog> ckpt_log;
   if (!checkpoint_dir.empty()) {
@@ -254,14 +235,6 @@ int RunEngineMode(DecayPtr decay, Backend backend, double epsilon,
     std::fprintf(stderr, "error: %s\n", flushed.ToString().c_str());
     return 1;
   }
-  if (!checkpoint_path.empty()) {
-    const Status written = WriteCheckpoint(**engine, checkpoint_path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "# checkpoint -> %s\n", checkpoint_path.c_str());
-  }
   if (ckpt_log) {
     const Status committed = ckpt_log->WriteIncremental();
     if (!committed.ok()) {
@@ -304,7 +277,6 @@ int main(int argc, char** argv) {
   std::string decay_spec = "poly:1.0";
   std::string backend_name = "auto";
   std::string save_path, load_path, input_path;
-  std::string checkpoint_path, restore_path;
   std::string checkpoint_dir, promote_dir;
   double epsilon = 0.1;
   Tick probe = 0;
@@ -333,10 +305,6 @@ int main(int argc, char** argv) {
       engine_shards = std::atoll(v);
     } else if (const char* v = value_of("--topk=")) {
       topk = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value_of("--checkpoint=")) {
-      checkpoint_path = v;
-    } else if (const char* v = value_of("--restore=")) {
-      restore_path = v;
     } else if (const char* v = value_of("--checkpoint-dir=")) {
       checkpoint_dir = v;
     } else if (const char* v = value_of("--promote-from=")) {
@@ -363,10 +331,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", backend.status().ToString().c_str());
     return 2;
   }
+  const StatusOr<AggregateOptions> options = AggregateOptions::Builder()
+                                                 .backend(*backend)
+                                                 .epsilon(epsilon)
+                                                 .Build();
+  if (!options.ok()) {
+    std::fprintf(stderr, "error: %s\n", options.status().ToString().c_str());
+    return 2;
+  }
 
   if (engine_shards != 0) {
-    if (engine_shards < 1) {
-      std::fprintf(stderr, "error: --engine needs a positive shard count\n");
+    if (engine_shards < 1 || engine_shards > UINT32_MAX) {
+      std::fprintf(stderr,
+                   "error: --engine needs a shard count in [1, %u]\n",
+                   UINT32_MAX);
       return 2;
     }
     if (probe != 0 || !save_path.empty() || !load_path.empty()) {
@@ -385,21 +363,14 @@ int main(int argc, char** argv) {
       }
       engine_in = &engine_file;
     }
-    if (!promote_dir.empty() && !restore_path.empty()) {
-      std::fprintf(stderr,
-                   "error: --promote-from is incompatible with --restore\n");
-      return 2;
-    }
-    return RunEngineMode(std::move(decay).value(), *backend, epsilon,
+    return RunEngineMode(std::move(decay).value(), *options,
                          static_cast<uint32_t>(engine_shards), topk,
-                         checkpoint_path, restore_path, checkpoint_dir,
-                         promote_dir, *engine_in);
+                         checkpoint_dir, promote_dir, *engine_in);
   }
-  if (!checkpoint_path.empty() || !restore_path.empty() ||
-      !checkpoint_dir.empty() || !promote_dir.empty()) {
+  if (!checkpoint_dir.empty() || !promote_dir.empty()) {
     std::fprintf(stderr,
-                 "error: --checkpoint/--restore/--checkpoint-dir/"
-                 "--promote-from require --engine mode\n");
+                 "error: --checkpoint-dir/--promote-from require --engine "
+                 "mode\n");
     return 2;
   }
 
@@ -420,12 +391,7 @@ int main(int argc, char** argv) {
     }
     sum = std::move(restored).value();
   } else {
-    const AggregateOptions options = AggregateOptions::Builder()
-                                     .backend(*backend)
-                                     .epsilon(epsilon)
-                                     .Build()
-                                     .value();
-    auto created = MakeDecayedSum(decay.value(), options);
+    auto created = MakeDecayedSum(decay.value(), *options);
     if (!created.ok()) {
       std::fprintf(stderr, "error: %s\n", created.status().ToString().c_str());
       return 1;
