@@ -141,8 +141,12 @@ class CheckpointLog {
   const Manifest& manifest() const { return manifest_; }
   const std::string& dir() const { return dir_; }
 
-  /// Total bytes across the manifest's live files — the write-amplification
-  /// metric the bench records.
+  /// Total bytes across the committed manifest's live files — the
+  /// write-amplification metric the bench records. It counts that
+  /// generation only: the previous generation (`MANIFEST.tds.prev`, the
+  /// fallback) keeps its segments on disk until the next commit collects
+  /// them, so right after a Compact() the directory holds both the new base
+  /// and every segment the compaction folded in.
   uint64_t LiveBytes() const;
 
  private:

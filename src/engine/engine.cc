@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,7 +20,7 @@ constexpr size_t kDrainChunk = 4096;
 
 /// Empty polls a writer burns through before parking — keeps the drain
 /// loop hot across momentary gaps (a producer mid-cycle revisits within
-/// tens of microseconds; ~20-30ns per poll, two uncontended RMWs) without
+/// tens of microseconds; a poll is a few plain loads, no RMW) without
 /// spinning a core when idle. On a single-core host the ladder collapses
 /// to one poll: spinning can never observe new work there, because the
 /// producer that would push it is starved for as long as the writer
@@ -30,19 +31,29 @@ constexpr uint32_t kIdlePollRounds = 1024;
 
 /// Upper bound on one idle park, and thus on how stale a sub-threshold
 /// backlog can get: pushes below half a ring don't wake the writer (see
-/// PushToShard), they ride until the slice expires. Deep backlogs, space
-/// waiters, drain waiters, snapshots, and commands all wake eagerly, so
-/// the slice only prices the background drain cadence — long enough that
-/// a fleet of parked writers doesn't preempt a busy producer every few
-/// hundred microseconds with timer wakes.
+/// PushToShard), they ride until the slice expires. Deep backlogs,
+/// producers waiting for space or a drain, and mailbox posts all wake
+/// eagerly, so the slice only prices the background drain cadence — long
+/// enough that a fleet of parked writers doesn't preempt a busy producer
+/// every few hundred microseconds with timer wakes.
 constexpr std::chrono::nanoseconds kWriterParkSlice =
     std::chrono::milliseconds(4);
 
-/// One point read against a registry the caller has exclusive access to.
-double AnswerRead(AggregateRegistry& registry, bool total, uint64_t key,
-                  Tick now) {
-  return total ? registry.SyncedQueryTotal(now)
-               : registry.SyncedQuery(key, now);
+/// A point read's inputs and answer. Its writer task captures a pointer
+/// to it, so the closure fits std::function's local buffer.
+struct PointRead {
+  uint64_t key = 0;
+  Tick now = 0;
+  double value = 0.0;
+};
+
+/// The writer-task body of a whole-state read: encodes the registry into
+/// `*blob`, or leaves it null when the encode fails (reachable only via
+/// failpoints). The shard keeps serving: the next read re-encodes from
+/// the intact registry.
+void EncodeInto(AggregateRegistry& registry, std::optional<std::string>* blob) {
+  std::string bytes;
+  if (registry.EncodeState(&bytes).ok()) *blob = std::move(bytes);
 }
 
 }  // namespace
@@ -57,6 +68,10 @@ ShardedAggregateEngine::Create(DecayPtr decay, const Options& options) {
   }
   if (options.shards == 0) {
     return Status::InvalidArgument("at least one shard required");
+  }
+  if (options.shards > kMaxShards) {
+    return Status::InvalidArgument("at most " + std::to_string(kMaxShards) +
+                                   " shards (one writer thread each)");
   }
   if (options.queue_capacity == 0) {
     return Status::InvalidArgument("queue capacity must be positive");
@@ -154,7 +169,7 @@ uint32_t ShardedAggregateEngine::RouteForKey(uint64_t key) const {
 
 Status ShardedAggregateEngine::EnterFlush(const Deadline& deadline,
                                           bool* stalled) {
-  StagedWait wait(BackpressurePolicy::kAdaptive);
+  StagedWait wait;
   while (true) {
     // seq_cst increment-then-check against RaiseFence's seq_cst
     // set-then-wait (Dekker): if our fence load below reads false, this
@@ -221,7 +236,7 @@ void ShardedAggregateEngine::RaiseFence() {
   // Chaos point: widen the store-to-quiescence-check window the Dekker
   // pairing with EnterFlush protects.
   TDS_INTERLEAVE_POINT("engine.fence.raise");
-  StagedWait wait(BackpressurePolicy::kAdaptive);
+  StagedWait wait;
   // seq_cst: the Dekker partner load (see above); also acquires the
   // release decrements in ExitFlush, so a zero count means every
   // in-flight episode's pushes are visible to the drain that follows.
@@ -247,11 +262,10 @@ void ShardedAggregateEngine::LowerFence() {
 
 Status ShardedAggregateEngine::PushToShard(Shard& shard,
                                            std::span<const KeyedItem> items,
-                                           BackpressurePolicy policy,
                                            const Deadline& deadline,
                                            PushCounters* counters) {
   MutexLock lock(shard.producer_mutex);
-  StagedWait wait(policy);
+  StagedWait wait;
   Status result = Status::OK();
   size_t offset = 0;
   while (offset < items.size()) {
@@ -292,8 +306,8 @@ Status ShardedAggregateEngine::PushToShard(Shard& shard,
     // depth threshold (a parked writer would otherwise stretch this stall
     // to its full park slice).
     WakeWriter(shard);
-    if (!wait.Step(shard.space_mutex, shard.space_cv, shard.space_waiters,
-                   deadline)) {
+    if (!wait.Step(shard.progress_mutex, shard.progress_cv,
+                   shard.progress_waiters, deadline)) {
       const uint64_t dropped = items.size() - offset;
       shard.items_rejected.fetch_add(dropped, std::memory_order_relaxed);
       if (counters != nullptr) counters->rejected += dropped;
@@ -323,7 +337,7 @@ Status ShardedAggregateEngine::Flush() {
 
 Status ShardedAggregateEngine::WaitShardApplied(Shard& shard,
                                                 uint64_t target) {
-  StagedWait wait(BackpressurePolicy::kAdaptive);
+  StagedWait wait;
   while (shard.applied.load(std::memory_order_acquire) < target) {
     if (shard.writer_done.load(std::memory_order_acquire)) {
       // Unreachable through the public API (Stop() drains first); defends
@@ -334,8 +348,8 @@ Status ShardedAggregateEngine::WaitShardApplied(Shard& shard,
     // Pushes below the half-ring threshold don't wake the writer; a drain
     // waiter wants the backlog applied now, not at the next park slice.
     WakeWriter(shard);
-    (void)wait.Step(shard.drain_mutex, shard.drain_cv, shard.drain_waiters,
-                    Deadline::Infinite());
+    (void)wait.Step(shard.progress_mutex, shard.progress_cv,
+                    shard.progress_waiters, Deadline::Infinite());
   }
   return Status::OK();
 }
@@ -355,8 +369,8 @@ void ShardedAggregateEngine::WaitQueuesDrained() {
 
 void ShardedAggregateEngine::WakeWriter(Shard& shard) {
   // Dekker handshake with the writer's park sequence: callers publish
-  // work with a seq_cst store/RMW (enqueued, snapshot_requested,
-  // read_requested, command_requested, stop_) before this seq_cst load,
+  // work with a seq_cst store/RMW (enqueued, mail_requested, stop_)
+  // before this seq_cst load,
   // and the writer stores writer_parked seq_cst before its seq_cst
   // pre-park re-check of those same flags. In the single total order
   // over seq_cst operations at least one side observes the other —
@@ -425,6 +439,7 @@ void ShardedAggregateEngine::UpdateStats(Shard& shard) {
 
 void ShardedAggregateEngine::WriterLoop(Shard& shard) {
   std::vector<KeyedItem> buffer(kDrainChunk);
+  std::vector<WriterTask*> batch;
   const uint32_t idle_poll_rounds =
       std::thread::hardware_concurrency() > 1 ? kIdlePollRounds : 1;
   uint32_t idle_polls = 0;
@@ -439,31 +454,20 @@ void ShardedAggregateEngine::WriterLoop(Shard& shard) {
       shard.applied.fetch_add(n, std::memory_order_release);
       // Consumption freed ring space and may have completed a drain: wake
       // parked producers / flushers. Relaxed: registration is advisory —
-      // a waiter whose fetch_add races these loads misses one notify and
+      // a waiter whose fetch_add races this load misses one notify and
       // re-checks within its bounded park slice (the documented one-slice
       // missed-wake bound; see StagedWait::Step).
-      if (shard.space_waiters.load(std::memory_order_relaxed) > 0) {
-        MutexLock lock(shard.space_mutex);
-        shard.space_cv.NotifyAll();
-      }
-      if (shard.drain_waiters.load(std::memory_order_relaxed) > 0) {
-        MutexLock lock(shard.drain_mutex);
-        shard.drain_cv.NotifyAll();
+      if (shard.progress_waiters.load(std::memory_order_relaxed) > 0) {
+        MutexLock lock(shard.progress_mutex);
+        shard.progress_cv.NotifyAll();
       }
     }
-    // Point reads between drain chunks. The relaxed load keeps the idle
-    // poll at its two RMWs: a stale false only defers the batch to the
-    // next poll, and the pre-park re-check below is seq_cst.
-    if (shard.read_requested.load(std::memory_order_relaxed) &&
-        shard.read_requested.exchange(false, std::memory_order_acq_rel)) {
-      ServeReads(shard);
-    }
-    if (shard.snapshot_requested.exchange(false,
-                                          std::memory_order_acq_rel)) {
-      PublishSnapshot(shard);
-    }
-    if (shard.command_requested.exchange(false, std::memory_order_acq_rel)) {
-      RunPendingCommand(shard);
+    // The mailbox between drain chunks. The relaxed load keeps the idle
+    // poll free of RMWs: a stale false only defers the batch to the next
+    // poll, and the pre-park re-check below is seq_cst.
+    if (shard.mail_requested.load(std::memory_order_relaxed) &&
+        shard.mail_requested.exchange(false, std::memory_order_acq_rel)) {
+      ServeMail(shard, batch);
     }
     if (n > 0) continue;  // keep draining while the queue is hot
     if (stop_.load(std::memory_order_acquire)) {
@@ -491,9 +495,7 @@ void ShardedAggregateEngine::WriterLoop(Shard& shard) {
       if (shard.enqueued.load(std::memory_order_seq_cst) ==
               shard.applied.load(std::memory_order_relaxed) &&
           !stop_.load(std::memory_order_seq_cst) &&
-          !shard.snapshot_requested.load(std::memory_order_seq_cst) &&
-          !shard.read_requested.load(std::memory_order_seq_cst) &&
-          !shard.command_requested.load(std::memory_order_seq_cst)) {
+          !shard.mail_requested.load(std::memory_order_seq_cst)) {
         (void)shard.wake_cv.WaitFor(shard.wake_mutex, kWriterParkSlice);
       }
     }
@@ -505,124 +507,84 @@ void ShardedAggregateEngine::WriterLoop(Shard& shard) {
     // ladder again before the next park.
     idle_polls = idle_poll_rounds;
   }
-  // Serve anything that raced shutdown: a pending command first (its poster
-  // is blocked on it), then a final publish so no snapshot reader hangs,
-  // then the pending reads — closing the read channel, so later readers
-  // answer from the registry this thread no longer touches.
-  if (shard.command_requested.exchange(false, std::memory_order_acq_rel)) {
-    RunPendingCommand(shard);
-  }
-  PublishSnapshot(shard);
-  CloseReads(shard);
-  {
-    MutexLock lock(shard.snapshot_mutex);
-    shard.stopped = true;
-  }
-  shard.snapshot_cv.NotifyAll();
+  // Run whatever raced shutdown and close the mailbox, so later posters
+  // run against the registry this thread no longer touches.
+  CloseMail(shard);
   shard.writer_done.store(true, std::memory_order_release);
   // Release any waiter that raced shutdown (their predicates re-check
   // writer_done / the drained counters).
   {
-    MutexLock lock(shard.drain_mutex);
+    MutexLock lock(shard.progress_mutex);
   }
-  shard.drain_cv.NotifyAll();
-  {
-    MutexLock lock(shard.space_mutex);
-  }
-  shard.space_cv.NotifyAll();
+  shard.progress_cv.NotifyAll();
 }
 
-void ShardedAggregateEngine::PublishSnapshot(Shard& shard) {
-  uint64_t serving;
+void ShardedAggregateEngine::ServeMail(Shard& shard,
+                                       std::vector<WriterTask*>& batch) {
   {
-    MutexLock lock(shard.snapshot_mutex);
-    serving = shard.tickets_issued;
+    MutexLock lock(shard.mail_mutex);
+    batch.swap(shard.mail);
   }
-  // Everything applied before this point is in the blob, so any ticket
-  // issued before `serving` was read is served. Only the blob is
-  // published: readers decode it on their own threads (ShardSnapshot) or
-  // fold it into a merged view (Snapshot), so the writer pays the encode
-  // alone.
-  //
-  // An encode failure (reachable only via failpoints) publishes a null
-  // blob: readers see "shard snapshot unavailable" for this publish, and
-  // the next request re-publishes from the intact registry — the shard
-  // keeps serving.
-  auto blob = std::make_shared<std::string>();
-  if (!shard.registry->EncodeState(blob.get()).ok()) blob = nullptr;
-  {
-    MutexLock lock(shard.snapshot_mutex);
-    shard.snapshot_blob = std::move(blob);
-    shard.tickets_served = std::max(shard.tickets_served, serving);
-  }
-  shard.snapshot_cv.NotifyAll();
-}
-
-void ShardedAggregateEngine::ServeReads(Shard& shard) {
-  std::vector<ReadRequest*> batch;
-  {
-    MutexLock lock(shard.read_mutex);
-    batch.swap(shard.reads);
-  }
-  // Answered outside the lock: a QueryTotal scan must not stall readers
-  // posting behind it. The requests are this thread's until marked done.
-  for (ReadRequest* request : batch) {
-    request->value = AnswerRead(*shard.registry, request->total,
-                                request->key, request->now);
-  }
-  {
-    MutexLock lock(shard.read_mutex);
-    for (ReadRequest* request : batch) request->done = true;
-  }
-  shard.read_cv.NotifyAll();
-}
-
-void ShardedAggregateEngine::CloseReads(Shard& shard) {
-  {
-    // Answered under the lock that closes the channel: no request can be
-    // left behind it, and late readers (who answer under the same lock)
-    // cannot touch the registry before this thread is done with it.
-    MutexLock lock(shard.read_mutex);
-    for (ReadRequest* request : shard.reads) {
-      request->value = AnswerRead(*shard.registry, request->total,
-                                  request->key, request->now);
-      request->done = true;
-    }
-    shard.reads.clear();
-    shard.reads_stopped = true;
-  }
-  shard.read_cv.NotifyAll();
-}
-
-void ShardedAggregateEngine::RunPendingCommand(Shard& shard) {
-  std::function<void(AggregateRegistry&)> fn;
-  {
-    MutexLock lock(shard.command_mutex);
-    fn = std::move(shard.command);
-    shard.command = nullptr;
-  }
-  if (fn) fn(*shard.registry);
+  if (batch.empty()) return;
+  // Run outside the lock: a long task (a QueryTotal scan, an encode, a
+  // migration step) must not stall posters queueing behind it. The tasks
+  // are this thread's until marked done.
+  for (WriterTask* task : batch) task->fn(*shard.registry);
   UpdateStats(shard);
   {
-    MutexLock lock(shard.command_mutex);
-    shard.command_done = true;
+    MutexLock lock(shard.mail_mutex);
+    for (WriterTask* task : batch) task->done = true;
   }
-  shard.command_cv.NotifyAll();
+  shard.mail_cv.NotifyAll();
+  batch.clear();
+}
+
+void ShardedAggregateEngine::CloseMail(Shard& shard) {
+  {
+    // Run under the lock that closes the mailbox: no task can be left
+    // behind it, and late posters (who run under the same lock) cannot
+    // touch the registry before this thread is done with it.
+    MutexLock lock(shard.mail_mutex);
+    for (WriterTask* task : shard.mail) {
+      task->fn(*shard.registry);
+      task->done = true;
+    }
+    shard.mail.clear();
+    UpdateStats(shard);
+    shard.closed = true;
+  }
+  shard.mail_cv.NotifyAll();
+}
+
+void ShardedAggregateEngine::PostTask(Shard& shard, WriterTask& task) {
+  {
+    MutexLock lock(shard.mail_mutex);
+    if (shard.closed) {
+      // The writer has exited: its registry is quiescent, and holding
+      // mail_mutex serializes this task against other late posters.
+      task.fn(*shard.registry);
+      UpdateStats(shard);
+      task.done = true;
+      return;
+    }
+    shard.mail.push_back(&task);
+  }
+  // seq_cst: the Dekker half of the park handshake (see WakeWriter).
+  shard.mail_requested.store(true, std::memory_order_seq_cst);
+  WakeWriter(shard);
+}
+
+void ShardedAggregateEngine::AwaitTask(Shard& shard, WriterTask& task) {
+  MutexLock lock(shard.mail_mutex);
+  while (!task.done) shard.mail_cv.Wait(shard.mail_mutex);
 }
 
 void ShardedAggregateEngine::RunOnWriter(
     Shard& shard, std::function<void(AggregateRegistry&)> fn) {
-  {
-    MutexLock lock(shard.command_mutex);
-    TDS_CHECK_MSG(shard.command == nullptr,
-                  "one writer command at a time (hold the route lock)");
-    shard.command = std::move(fn);
-    shard.command_done = false;
-  }
-  shard.command_requested.store(true, std::memory_order_seq_cst);
-  WakeWriter(shard);
-  MutexLock lock(shard.command_mutex);
-  while (!shard.command_done) shard.command_cv.Wait(shard.command_mutex);
+  WriterTask task;
+  task.fn = std::move(fn);
+  PostTask(shard, task);
+  AwaitTask(shard, task);
 }
 
 void ShardedAggregateEngine::RunOnWriterForTest(
@@ -632,53 +594,22 @@ void ShardedAggregateEngine::RunOnWriterForTest(
   RunOnWriter(*shards_[shard], std::move(fn));
 }
 
-std::shared_ptr<const std::string> ShardedAggregateEngine::TakeShardSnapshot(
-    Shard& shard) {
-  uint64_t ticket;
-  {
-    MutexLock lock(shard.snapshot_mutex);
-    ticket = ++shard.tickets_issued;
-  }
-  shard.snapshot_requested.store(true, std::memory_order_seq_cst);
-  WakeWriter(shard);
-  MutexLock lock(shard.snapshot_mutex);
-  while (shard.tickets_served < ticket && !shard.stopped) {
-    shard.snapshot_cv.Wait(shard.snapshot_mutex);
-  }
-  return shard.snapshot_blob;
-}
-
 std::shared_ptr<const AggregateRegistry> ShardedAggregateEngine::ShardSnapshot(
     uint32_t shard_index) {
   TDS_CHECK_LT(shard_index, shards_.size());
-  const auto blob = TakeShardSnapshot(*shards_[shard_index]);
-  if (blob == nullptr) return nullptr;
+  // One shard needs no cut across shards, so no route lock.
+  Shard& shard = *shards_[shard_index];
+  std::optional<std::string> blob;
+  WriterTask task;
+  task.fn = [b = &blob](AggregateRegistry& registry) {
+    EncodeInto(registry, b);
+  };
+  PostTask(shard, task);
+  AwaitTask(shard, task);
+  if (!blob.has_value()) return nullptr;
   auto decoded = AggregateRegistry::Decode(decay_, options_.registry, *blob);
   if (!decoded.ok()) return nullptr;
   return std::make_shared<const AggregateRegistry>(std::move(decoded).value());
-}
-
-void ShardedAggregateEngine::PostRead(Shard& shard, ReadRequest& request) {
-  {
-    MutexLock lock(shard.read_mutex);
-    if (shard.reads_stopped) {
-      // The writer has exited: its registry is quiescent, and holding
-      // read_mutex serializes this read against other late readers.
-      request.value = AnswerRead(*shard.registry, request.total, request.key,
-                                 request.now);
-      request.done = true;
-      return;
-    }
-    shard.reads.push_back(&request);
-  }
-  // seq_cst: the Dekker half of the park handshake (see WakeWriter).
-  shard.read_requested.store(true, std::memory_order_seq_cst);
-  WakeWriter(shard);
-}
-
-void ShardedAggregateEngine::AwaitRead(Shard& shard, ReadRequest& request) {
-  MutexLock lock(shard.read_mutex);
-  while (!request.done) shard.read_cv.Wait(shard.read_mutex);
 }
 
 StatusOr<MergedSnapshot> ShardedAggregateEngine::Snapshot() {
@@ -686,33 +617,31 @@ StatusOr<MergedSnapshot> ShardedAggregateEngine::Snapshot() {
   // shard captures would otherwise double-count (or drop) the moving keys.
   // Concurrent flushes are fine — the cut is whatever each writer has
   // applied — so the fence is not touched.
-  std::vector<std::string> blobs;
+  std::vector<std::optional<std::string>> blobs(shards_.size());
+  std::vector<WriterTask> tasks(shards_.size());
   {
     ReaderMutexLock route_lock(route_mutex_);
-    // Issue every ticket first so the shard writers publish concurrently.
-    for (auto& shard : shards_) {
-      MutexLock lock(shard->snapshot_mutex);
-      ++shard->tickets_issued;
+    // Post to every shard first so the shard writers encode concurrently.
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      tasks[i].fn = [blob = &blobs[i]](AggregateRegistry& registry) {
+        EncodeInto(registry, blob);
+      };
+      PostTask(*shards_[i], tasks[i]);
     }
-    for (auto& shard : shards_) {
-      shard->snapshot_requested.store(true, std::memory_order_seq_cst);
-      WakeWriter(*shard);
-    }
-    blobs.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      MutexLock lock(shard->snapshot_mutex);
-      const uint64_t ticket = shard->tickets_issued;
-      while (shard->tickets_served < ticket && !shard->stopped) {
-        shard->snapshot_cv.Wait(shard->snapshot_mutex);
-      }
-      if (shard->snapshot_blob == nullptr) {
-        return Status::FailedPrecondition("shard snapshot unavailable");
-      }
-      blobs.push_back(*shard->snapshot_blob);
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      AwaitTask(*shards_[i], tasks[i]);
     }
   }
   // Decode + fold outside the lock: the blobs are already a consistent cut.
-  return MergedSnapshot::FromShardBlobs(decay_, options_.registry, blobs);
+  std::vector<std::string> bytes;
+  bytes.reserve(blobs.size());
+  for (std::optional<std::string>& blob : blobs) {
+    if (!blob.has_value()) {
+      return Status::FailedPrecondition("shard snapshot unavailable");
+    }
+    bytes.push_back(std::move(*blob));
+  }
+  return MergedSnapshot::FromShardBlobs(decay_, options_.registry, bytes);
 }
 
 Status ShardedAggregateEngine::EnableCheckpointTracking() {
@@ -774,29 +703,30 @@ double ShardedAggregateEngine::QueryKey(uint64_t key, Tick now) {
   // migration between the route read and the answer would ask a shard
   // that no longer holds the key).
   ReaderMutexLock route_lock(route_mutex_);
-  Shard& shard = *shards_[RouteForKey(key)];
-  ReadRequest request;
-  request.key = key;
-  request.now = now;
-  PostRead(shard, request);
-  AwaitRead(shard, request);
-  return request.value;
+  PointRead read{key, now};
+  RunOnWriter(*shards_[RouteForKey(key)],
+              [r = &read](AggregateRegistry& registry) {
+                r->value = registry.SyncedQuery(r->key, r->now);
+              });
+  return read.value;
 }
 
 double ShardedAggregateEngine::QueryTotal(Tick now) {
   // One route-table cut (as Snapshot()): no migration can move keys
   // between two shards' scans. Every shard scans concurrently.
   ReaderMutexLock route_lock(route_mutex_);
-  std::vector<ReadRequest> requests(shards_.size());
+  std::vector<PointRead> reads(shards_.size(), PointRead{0, now});
+  std::vector<WriterTask> tasks(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    requests[i].total = true;
-    requests[i].now = now;
-    PostRead(*shards_[i], requests[i]);
+    tasks[i].fn = [r = &reads[i]](AggregateRegistry& registry) {
+      r->value = registry.SyncedQueryTotal(r->now);
+    };
+    PostTask(*shards_[i], tasks[i]);
   }
   double total = 0.0;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    AwaitRead(*shards_[i], requests[i]);
-    total += requests[i].value;
+    AwaitTask(*shards_[i], tasks[i]);
+    total += reads[i].value;
   }
   return total;
 }

@@ -34,11 +34,8 @@ struct ProducerSessionOptions {
   /// queries (and to engine Flush()) until a session flush — explicit,
   /// automatic, or on destruction.
   size_t staging_capacity = 4096;
-  /// Full-queue behavior for this session's flushes; defaults to the
-  /// engine-wide Options::backpressure.
-  std::optional<BackpressurePolicy> backpressure;
-  /// Admission deadline per flush episode when the effective policy is
-  /// kBlockWithDeadline; defaults to Options::block_deadline.
+  /// Admission deadline per flush episode for this session; defaults to
+  /// the engine-wide Options::block_deadline.
   std::optional<std::chrono::nanoseconds> block_deadline;
 };
 
@@ -56,21 +53,22 @@ struct ProducerSessionOptions {
 /// (one atomic shared_ptr load per batch, not per item). Sessions are the
 /// only ingest surface.
 ///
-/// Reads: point reads (QueryKey, QueryTotal) are answered by the owning
-/// shard's writer between drain chunks — QueryKey is one table probe on
-/// the live registry, QueryTotal one scan per shard, neither copies state.
-/// Whole-state reads (ShardSnapshot, Snapshot) are served from the
-/// registry encode blob the writer publishes on request, decoded on the
-/// caller's thread. Either kind issued after Flush() reflects every item
+/// Reads: every read reaches a shard's registry through one mailbox per
+/// shard — the caller posts a task and the shard's writer runs it between
+/// drain chunks. QueryKey is one table probe on the live registry,
+/// QueryTotal one scan per shard, neither copies state; whole-state reads
+/// (ShardSnapshot, Snapshot) are one registry encode, decoded on the
+/// caller's thread. Any read issued after Flush() reflects every item
 /// ingested before the Flush. Snapshot() assembles one engine-wide
 /// MergedSnapshot from all shards at a single route-table cut.
 ///
 /// Backpressure: when a shard's ring fills, producers escalate through the
-/// staged wait (spin → yield → CondVar park; see BackpressurePolicy) and
-/// the writer signals on consumption — a blocked producer no longer burns
-/// a core. Admission control (kBlockWithDeadline) bounds the blocking and
-/// rejects the overflow with kUnavailable; rejects and parks are counted
-/// per shard in Stats(). Durability is the checkpoint log
+/// staged wait (spin → yield → CondVar park; see StagedWait) and the
+/// writer signals on consumption — a blocked producer does not burn a
+/// core. By default a flush waits for space; a finite block_deadline
+/// bounds the blocking and rejects the overflow with kUnavailable
+/// (admission control). Rejects and parks are counted per shard in
+/// Stats(). Durability is the checkpoint log
 /// (engine/checkpoint_log.h): Restore() rebuilds a fresh engine from the
 /// registry a log folds to, byte-identical to the checkpointed state.
 ///
@@ -106,6 +104,13 @@ struct ProducerSessionOptions {
 /// this.
 class ShardedAggregateEngine {
  public:
+  /// Upper bound on Options::shards: Create starts one writer thread and
+  /// allocates one queue_capacity ring per shard, so an unbounded count
+  /// would turn a typo into thousands of threads (and a failed thread
+  /// start aborts the process). Create refuses more with InvalidArgument
+  /// before allocating anything.
+  static constexpr uint32_t kMaxShards = 1024;
+
   struct Options {
     AggregateRegistry::Options registry;
     uint32_t shards = 4;
@@ -114,16 +119,15 @@ class ShardedAggregateEngine {
     /// so migrations can move fine-grained key ranges).
     uint32_t route_slices = 256;
     /// Per-shard ingest queue capacity in items (rounded up to a power of
-    /// two). What a producer does when a queue is full is `backpressure`'s
-    /// call.
+    /// two). How long a producer waits when a queue is full is
+    /// `block_deadline`'s call.
     size_t queue_capacity = 1 << 16;
-    /// Full-queue behavior for session flushes (see BackpressurePolicy in
-    /// engine/wait_strategy.h); a session may override it.
-    BackpressurePolicy backpressure = BackpressurePolicy::kAdaptive;
-    /// Admission deadline for kBlockWithDeadline: how long one flush
-    /// episode may block before the remainder of the batch is rejected
-    /// with Status::Unavailable.
-    std::chrono::nanoseconds block_deadline = std::chrono::milliseconds(100);
+    /// Admission deadline: how long one session flush episode may block on
+    /// a full queue (or a raised route fence) before the remainder of the
+    /// batch is rejected with Status::Unavailable. The default,
+    /// kWaitForSpace, never rejects; zero makes each flush one non-blocking
+    /// push attempt per shard. A session may override it.
+    std::chrono::nanoseconds block_deadline = kWaitForSpace;
     /// Skew trigger for RebalanceIfSkewed: rebalance when the busiest
     /// shard holds at least this many times the live keys of the idlest.
     double rebalance_skew = 2.0;
@@ -173,9 +177,10 @@ class ShardedAggregateEngine {
 
   /// Drains every queue, stops the writer threads, and joins them.
   /// Idempotent. After Stop() the ingest surface returns
-  /// kFailedPrecondition (never blocks), while point reads keep serving
-  /// the final state and snapshots the final published blob. Items still
-  /// staged in live sessions are not drained — flush sessions first.
+  /// kFailedPrecondition (never blocks), while every read (and the
+  /// RunOnWriterForTest hook) runs in place against the final state.
+  /// Items still staged in live sessions are not drained — flush sessions
+  /// first.
   void Stop() TDS_EXCLUDES(route_mutex_);
 
   /// Opens a producer session — the preferred (and fastest) ingest
@@ -194,8 +199,8 @@ class ShardedAggregateEngine {
   Status Flush();
 
   /// Fresh immutable copy of one shard's registry: the shard's writer
-  /// publishes an encode blob between drain chunks, and this call decodes
-  /// it on the caller's thread. Reflects at least everything applied
+  /// encodes its registry between drain chunks, and this call decodes the
+  /// blob on the caller's thread. Reflects at least everything applied
   /// before this call began; null if the encode or the decode failed.
   std::shared_ptr<const AggregateRegistry> ShardSnapshot(uint32_t shard);
 
@@ -209,7 +214,7 @@ class ShardedAggregateEngine {
   /// table probe on the live registry (no copy). Evaluated at max(now,
   /// shard clock) — a caller's clock may lag the stream's — and equal to
   /// what a ShardSnapshot taken at the same point would return. After
-  /// Stop() it reads the final state directly.
+  /// Stop() it reads the final state in place.
   double QueryKey(uint64_t key, Tick now) TDS_EXCLUDES(route_mutex_);
 
   /// Sum over all shards, each answered by its writer as one scan of the
@@ -305,12 +310,12 @@ class ShardedAggregateEngine {
   /// Lock-free — one atomic route-table load.
   uint32_t RouteForKey(uint64_t key) const;
 
-  /// Test hook: runs `fn` against `shard`'s registry on its writer thread
-  /// and blocks until done. A blocking `fn` deterministically stalls that
+  /// Test hook: posts `fn` to `shard`'s mailbox and blocks until its
+  /// writer has run it. A blocking `fn` deterministically stalls that
   /// writer — the backpressure tests use this to fill a ring on purpose.
-  /// Holds the route lock shared (ingest keeps running); at most one
-  /// concurrent command per shard (migrations hold the lock exclusively,
-  /// so they never race this).
+  /// Holds the route lock shared (ingest and reads keep running;
+  /// migrations hold the lock exclusively, so they never race this).
+  /// After Stop() `fn` runs in place on the caller's thread.
   void RunOnWriterForTest(uint32_t shard,
                           std::function<void(AggregateRegistry&)> fn)
       TDS_EXCLUDES(route_mutex_);
@@ -333,17 +338,16 @@ class ShardedAggregateEngine {
     bool stalled = false;
   };
 
-  /// One point read posted to a shard's read channel. Lives on the
-  /// reader's stack until `done`. The writer fills `value`, then sets
-  /// `done` under the shard's read_mutex — the lock the reader waits
-  /// under, so it orders the value before the reader's wake. (The guard
-  /// is another object's mutex, which Clang TSA cannot name, so the
-  /// fields are unannotated.)
-  struct ReadRequest {
-    bool total = false;  ///< QueryTotal's shard scan instead of one key
-    uint64_t key = 0;
-    Tick now = 0;
-    double value = 0.0;
+  /// One task posted to a shard's mailbox: `fn` runs against the shard's
+  /// registry on its writer thread. Lives on the poster's stack until
+  /// `done`. The writer sets `done` under the shard's mail_mutex — the
+  /// lock the poster waits under, so everything `fn` wrote is ordered
+  /// before the poster's wake. (The guard is another object's mutex,
+  /// which Clang TSA cannot name, so the fields are unannotated.) Posters
+  /// capture one pointer in `fn`, which keeps the closure inside
+  /// std::function's local buffer: a read allocates nothing.
+  struct WriterTask {
+    std::function<void(AggregateRegistry&)> fn;
     bool done = false;
   };
 
@@ -355,24 +359,19 @@ class ShardedAggregateEngine {
     Atomic<uint64_t> enqueued{0};
     Atomic<uint64_t> applied{0};
 
-    /// Full-queue producer parking (backpressure). The mutex guards no
-    /// fields — the waited-on state is the lock-free ring itself — so
-    /// waiter registration is an advisory atomic and parks are bounded
-    /// slices (see StagedWait); the writer notifies after consuming when
-    /// `space_waiters` is nonzero.
-    Mutex space_mutex;
-    CondVar space_cv;
-    Atomic<uint32_t> space_waiters{0};
-
-    /// Drain watchers (Flush / WaitQueuesDrained) park here; the writer
-    /// notifies after advancing `applied` when `drain_waiters` is nonzero.
-    Mutex drain_mutex;
-    CondVar drain_cv;
-    Atomic<uint32_t> drain_waiters{0};
+    /// Writer → producer progress signal: producers parked on a full ring
+    /// and drain watchers (Flush, WaitQueuesDrained) wait here. The mutex
+    /// guards no fields — the waited-on state is the lock-free ring and
+    /// the `applied` counter — so waiter registration is an advisory
+    /// atomic and parks are bounded slices (see StagedWait); the writer
+    /// notifies after consuming when `progress_waiters` is nonzero.
+    Mutex progress_mutex;
+    CondVar progress_cv;
+    Atomic<uint32_t> progress_waiters{0};
 
     /// Writer-idle parking: the writer parks in bounded slices when it has
-    /// nothing to do; producers, snapshot and read requesters, command
-    /// posters, and Stop() wake it through WakeWriter().
+    /// nothing to do; producers, mailbox posters and Stop() wake it
+    /// through WakeWriter().
     Mutex wake_mutex;
     CondVar wake_cv;
     Atomic<bool> writer_parked{false};
@@ -386,53 +385,31 @@ class ShardedAggregateEngine {
     /// on a writer that no longer exists).
     Atomic<bool> writer_done{false};
 
-    /// Written only by the shard's writer thread (constructed before the
-    /// thread starts, which establishes the happens-before edge; a
-    /// migration mutates it on the writer thread via RunOnWriter). Thread
-    /// *ownership* is a discipline Clang TSA cannot express, so this field
-    /// is deliberately unannotated.
+    /// Touched only by the shard's writer thread (constructed before the
+    /// thread starts, which establishes the happens-before edge; reads and
+    /// migrations reach it through the mailbox), and after the writer's
+    /// exit only under mail_mutex. Thread *ownership* is a discipline
+    /// Clang TSA cannot express, so this field is deliberately
+    /// unannotated.
     std::optional<AggregateRegistry> registry;
 
     /// Occupancy stats mirrored by the writer after every applied batch
-    /// and every command (readable without stopping the writer).
+    /// and every mailbox batch (readable without stopping the writer).
     Atomic<uint64_t> live_keys{0};
     Atomic<uint64_t> arena_extent{0};
 
-    /// Snapshot ticket channel: readers post a ticket and block; the
-    /// writer publishes its registry's encode blob (null if the encode
-    /// failed) and serves every ticket issued before the encode began.
-    /// Readers decode the blob on their own threads.
-    Mutex snapshot_mutex;
-    CondVar snapshot_cv;
-    Atomic<bool> snapshot_requested{false};
-    std::shared_ptr<const std::string> snapshot_blob
-        TDS_GUARDED_BY(snapshot_mutex);
-    uint64_t tickets_issued TDS_GUARDED_BY(snapshot_mutex) = 0;
-    uint64_t tickets_served TDS_GUARDED_BY(snapshot_mutex) = 0;
-    bool stopped TDS_GUARDED_BY(snapshot_mutex) = false;
-
-    /// Point-read channel: readers append a request and block; between
-    /// drain chunks the writer swaps the whole batch out, answers it
-    /// against the live registry, marks it done and notifies once. On
-    /// exit the writer serves what is pending and sets `reads_stopped`;
-    /// later readers answer from the quiescent registry themselves,
-    /// serialized by read_mutex (which also orders them after the
-    /// writer's last mutation).
-    Mutex read_mutex;
-    CondVar read_cv;
-    Atomic<bool> read_requested{false};
-    std::vector<ReadRequest*> reads TDS_GUARDED_BY(read_mutex);
-    bool reads_stopped TDS_GUARDED_BY(read_mutex) = false;
-
-    /// Writer-command channel (migrations): the registry must only ever be
-    /// touched from its writer thread, so cross-shard moves post closures
-    /// here and block until the writer has run them.
-    Mutex command_mutex;
-    CondVar command_cv;
-    std::function<void(AggregateRegistry&)> command
-        TDS_GUARDED_BY(command_mutex);
-    bool command_done TDS_GUARDED_BY(command_mutex) = false;
-    Atomic<bool> command_requested{false};
+    /// The mailbox — the one channel into the writer: posters append a
+    /// task and block; between drain chunks the writer swaps the whole
+    /// batch out, runs it against the live registry, marks it done and
+    /// notifies once. On exit the writer runs what is pending and sets
+    /// `closed`; later posters run their task in place, serialized by
+    /// mail_mutex (which also orders them after the writer's last
+    /// mutation).
+    Mutex mail_mutex;
+    CondVar mail_cv;
+    Atomic<bool> mail_requested{false};
+    std::vector<WriterTask*> mail TDS_GUARDED_BY(mail_mutex);
+    bool closed TDS_GUARDED_BY(mail_mutex) = false;
 
     std::thread writer;
   };
@@ -440,33 +417,26 @@ class ShardedAggregateEngine {
   explicit ShardedAggregateEngine(const Options& options);
 
   void WriterLoop(Shard& shard);
-  void PublishSnapshot(Shard& shard);
-  void RunPendingCommand(Shard& shard);
   void UpdateStats(Shard& shard);
 
-  /// Writer side of the read channel: answers every pending request
-  /// against the live registry and wakes their readers. CloseReads is the
-  /// writer's exit path: it answers what is pending and closes the
-  /// channel, so later readers answer in PostRead.
-  void ServeReads(Shard& shard);
-  void CloseReads(Shard& shard);
+  /// Writer side of the mailbox: ServeMail swaps the pending batch into
+  /// `batch` (a writer-owned vector, so the two swap their capacity back
+  /// and forth instead of allocating), runs it, and wakes its posters.
+  /// CloseMail is the writer's exit path: it runs what is pending and
+  /// closes the mailbox, so later posters run their tasks in PostTask.
+  void ServeMail(Shard& shard, std::vector<WriterTask*>& batch);
+  void CloseMail(Shard& shard);
 
-  /// Reader side: PostRead appends `request` to the shard's read channel
-  /// (or, once the channel is closed, answers it in place); AwaitRead
-  /// blocks until it is done. Split so QueryTotal can post to every shard
+  /// Poster side: PostTask appends `task` to the shard's mailbox (or, once
+  /// the mailbox is closed, runs it in place); AwaitTask blocks until it
+  /// is done. Split so Snapshot() and QueryTotal can post to every shard
   /// before waiting on any.
-  void PostRead(Shard& shard, ReadRequest& request);
-  void AwaitRead(Shard& shard, ReadRequest& request);
+  void PostTask(Shard& shard, WriterTask& task);
+  void AwaitTask(Shard& shard, WriterTask& task);
 
-  /// Issues a snapshot ticket and blocks until the writer serves it;
-  /// returns the published encode blob (null if that encode failed).
-  std::shared_ptr<const std::string> TakeShardSnapshot(Shard& shard);
-
-  /// Runs `fn` against the shard's registry on the shard's writer thread
-  /// and waits for completion. Callers must hold the route lock (shared
-  /// suffices for the analysis; migrations hold it exclusively, which is
-  /// what actually keeps commands one-at-a-time — the test hook's shared
-  /// mode relies on migrations being excluded by its own lock).
+  /// PostTask + AwaitTask for one `fn`. Callers hold the route lock
+  /// (migrations exclusive, reads and the test hook shared), so no
+  /// migration reshapes the shard while `fn` is queued.
   void RunOnWriter(Shard& shard, std::function<void(AggregateRegistry&)> fn)
       TDS_REQUIRES_SHARED(route_mutex_);
 
@@ -475,7 +445,7 @@ class ShardedAggregateEngine {
   /// items still unqueued (the remainder is dropped and counted). Callers
   /// hold the flush fence (EnterFlush), not the route lock.
   Status PushToShard(Shard& shard, std::span<const KeyedItem> items,
-                     BackpressurePolicy policy, const Deadline& deadline,
+                     const Deadline& deadline,
                      PushCounters* counters = nullptr);
 
   /// The current epoch-published route snapshot (one plain acquire load —
@@ -555,8 +525,8 @@ class ShardedAggregateEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Control-plane lock: migrations/Stop/Restore hold it exclusive;
-  /// snapshot gathers, point reads, and the writer-command test hook
-  /// hold it shared. Producers never take it.
+  /// reads, checkpoint captures and the writer-task test hook hold it
+  /// shared. Producers never take it.
   mutable SharedMutex route_mutex_;
 
   /// Current epoch-published route snapshot. Load via CurrentRoute()

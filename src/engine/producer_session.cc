@@ -30,7 +30,6 @@ ProducerSession::ProducerSession(ShardedAggregateEngine* engine,
                                  const ProducerSessionOptions& options)
     : engine_(engine),
       options_(options),
-      policy_(options.backpressure.value_or(engine->options().backpressure)),
       block_deadline_(
           options.block_deadline.value_or(engine->options().block_deadline)) {
   runs_.resize(engine->shards());
@@ -107,11 +106,7 @@ Status ProducerSession::AddBatch(std::span<const KeyedItem> items) {
 }
 
 Status ProducerSession::Flush() {
-  const Deadline deadline =
-      policy_ == BackpressurePolicy::kBlockWithDeadline
-          ? Deadline::After(block_deadline_)
-          : Deadline::Infinite();
-  const Status status = FlushStaged(deadline);
+  const Status status = FlushStaged(Deadline::After(block_deadline_));
   TDS_AUDIT_MUTATION(AuditInvariants());
   return status;
 }
@@ -154,8 +149,8 @@ Status ProducerSession::FlushStaged(const Deadline& deadline) {
     ShardedAggregateEngine::PushCounters counters;
     // Admission is per shard: one shard rejecting does not stop the other
     // shards' runs from landing.
-    const Status status = engine_->PushToShard(
-        *engine_->shards_[s], run, policy_, deadline, &counters);
+    const Status status = engine_->PushToShard(*engine_->shards_[s], run,
+                                               deadline, &counters);
     rejected += counters.rejected;
     stalled = stalled || counters.stalled;
     if (result.ok() && !status.ok()) result = status;

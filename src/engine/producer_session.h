@@ -40,11 +40,12 @@ namespace tds {
 /// the duration of the push.
 ///
 /// Error contract: a stopped engine returns kFailedPrecondition and
-/// *keeps* the items staged; a flush that misses its admission deadline
-/// (kBlockWithDeadline, or the fence held past the deadline) returns
+/// *keeps* the items staged; a flush that misses a finite admission
+/// deadline (a full ring, or the fence held past block_deadline) returns
 /// kUnavailable, drops the still-unpushed staged items, and counts them in
 /// ShardStats::items_rejected (and in stats()). A zero block_deadline makes
-/// each flush one non-blocking push attempt per shard.
+/// each flush one non-blocking push attempt per shard; the default,
+/// kWaitForSpace, waits until the writer drains.
 ///
 /// Ordering: within a session, per-shard runs preserve Add order.
 /// Concurrent sessions must coordinate externally (e.g. epoch-sliced
@@ -111,7 +112,6 @@ class ProducerSession {
 
   ShardedAggregateEngine* engine_;
   ProducerSessionOptions options_;
-  BackpressurePolicy policy_;
   std::chrono::nanoseconds block_deadline_;
 
   /// Cached route snapshot the staged runs are grouped under (null until

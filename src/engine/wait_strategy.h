@@ -13,21 +13,14 @@
 
 namespace tds {
 
-/// How a producer behaves when its shard's ingest queue is full.
-enum class BackpressurePolicy {
-  /// Yield-spin until space appears (the pre-backpressure behavior; burns
-  /// a core per blocked producer — kept for latency-critical pinned-core
-  /// deployments and as the comparison baseline).
-  kSpin,
-  /// Staged wait: bounded spin, then bounded yielding, then park on the
-  /// shard's CondVar until the writer signals consumption. Blocked
-  /// producers cost (almost) no CPU. The default.
-  kAdaptive,
-  /// kAdaptive, but gives up once Options::block_deadline has elapsed:
-  /// the remainder of the batch is rejected with Status::Unavailable and
-  /// counted in ShardStats::items_rejected (admission control).
-  kBlockWithDeadline,
-};
+/// The block_deadline that never expires: a flush waits for ring space
+/// (spinning briefly, then parked — see StagedWait) for as long as the
+/// writer takes to drain. Deadline::After maps it to Deadline::Infinite().
+/// Any finite deadline turns the wait into admission control: past it,
+/// the rest of the batch is rejected with Status::Unavailable and counted
+/// in ShardStats::items_rejected.
+inline constexpr std::chrono::nanoseconds kWaitForSpace =
+    std::chrono::nanoseconds::max();
 
 /// The staged wait ladder — and the ONLY sanctioned retry-wait loop in
 /// src/engine (tools/tds_lint.py rule `spin-loop` rejects yield/spin
@@ -49,18 +42,12 @@ class StagedWait {
   static constexpr std::chrono::nanoseconds kParkSlice =
       std::chrono::milliseconds(1);
 
-  explicit StagedWait(BackpressurePolicy policy) : policy_(policy) {}
-
   /// One escalation step after a failed attempt. Returns true to retry,
   /// false once `deadline` is expired (give up; nothing waited on then).
   bool Step(Mutex& mu, CondVar& cv, Atomic<uint32_t>& waiters,
             const Deadline& deadline) TDS_EXCLUDES(mu) {
     if (deadline.Expired()) return false;
     const uint64_t round = ++rounds_;
-    if (policy_ == BackpressurePolicy::kSpin) {
-      std::this_thread::yield();
-      return true;
-    }
     if (round <= kSpinRounds) return true;  // hot retry, no syscall
     if (round <= kSpinRounds + kYieldRounds) {
       std::this_thread::yield();
@@ -102,7 +89,6 @@ class StagedWait {
   uint64_t max_streak() const { return std::max(max_streak_, rounds_); }
 
  private:
-  BackpressurePolicy policy_;
   uint64_t rounds_ = 0;
   uint64_t parks_ = 0;
   uint64_t max_streak_ = 0;

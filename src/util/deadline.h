@@ -21,7 +21,10 @@ class Deadline {
   static Deadline Infinite() { return Deadline(); }
 
   /// Expires `budget` from now (a non-positive budget is already expired).
+  /// The largest budget, nanoseconds::max(), never expires: it is
+  /// Infinite() (adding it to the clock would overflow).
   static Deadline After(std::chrono::nanoseconds budget) {
+    if (budget == std::chrono::nanoseconds::max()) return Infinite();
     Deadline d;
     d.infinite_ = false;
     d.at_ = std::chrono::steady_clock::now() + budget;

@@ -1,12 +1,12 @@
 // Backpressure and admission-control tests for ShardedAggregateEngine's
-// ProducerSession ingest surface: staged producer waits, kBlockWithDeadline
+// ProducerSession ingest surface: staged producer waits, block_deadline
 // admission (zero, short and generous deadlines), overload counters, and
 // the stopped-engine ingest contract (the regression that used to spin a
 // producer forever against a ring whose writer had already exited).
 //
 // The writer is stalled *deterministically* through RunOnWriterForTest: a
-// helper thread posts a command that blocks the shard writer on an atomic
-// until the test releases it — no sleeps-as-synchronization.
+// helper thread posts a mailbox task that blocks the shard writer on an
+// atomic until the test releases it — no sleeps-as-synchronization.
 #include "engine/engine.h"
 
 #include <atomic>
@@ -45,7 +45,7 @@ ShardedAggregateEngine::Options TinyRingOptions() {
   return options;
 }
 
-/// A session under the engine's own backpressure policy that auto-flushes
+/// A session under the engine's own block_deadline that auto-flushes
 /// every `staging_capacity` items.
 std::unique_ptr<ProducerSession> StagingSession(ShardedAggregateEngine& engine,
                                                 size_t staging_capacity) {
@@ -56,13 +56,12 @@ std::unique_ptr<ProducerSession> StagingSession(ShardedAggregateEngine& engine,
   return std::move(session).value();
 }
 
-/// A session that admits under kBlockWithDeadline with `deadline` per flush
-/// episode and auto-flushes every `staging_capacity` items.
+/// A session that admits under `deadline` per flush episode and
+/// auto-flushes every `staging_capacity` items.
 std::unique_ptr<ProducerSession> DeadlineSession(
     ShardedAggregateEngine& engine, std::chrono::nanoseconds deadline,
     size_t staging_capacity) {
   ProducerSessionOptions options;
-  options.backpressure = BackpressurePolicy::kBlockWithDeadline;
   options.block_deadline = deadline;
   options.staging_capacity = staging_capacity;
   auto session = engine.NewProducer(options);
@@ -70,7 +69,7 @@ std::unique_ptr<ProducerSession> DeadlineSession(
   return std::move(session).value();
 }
 
-/// Blocks one shard's writer inside a writer command until Release() (or
+/// Blocks one shard's writer inside a mailbox task until Release() (or
 /// destruction). While stalled, nothing is drained from that shard's ring,
 /// so the test can fill it to capacity deterministically.
 class WriterStall {
@@ -85,7 +84,7 @@ class WriterStall {
         }
       });
     });
-    // Wait until the writer is actually inside the command: from here on
+    // Wait until the writer is actually inside the task: from here on
     // the ring cannot drain until Release().
     while (!entered.load(std::memory_order_acquire)) {
       std::this_thread::yield();
@@ -175,7 +174,6 @@ TEST(BackpressureTest, TryUpdateBatchDeadlineOutlastsStall) {
 
 TEST(BackpressureTest, BlockWithDeadlinePolicyRejectsAndCounts) {
   auto options = TinyRingOptions();
-  options.backpressure = BackpressurePolicy::kBlockWithDeadline;
   options.block_deadline = std::chrono::milliseconds(5);
   auto engine = ShardedAggregateEngine::Create(
       SlidingWindowDecay::Create(1 << 20).value(), options);
@@ -183,7 +181,7 @@ TEST(BackpressureTest, BlockWithDeadlinePolicyRejectsAndCounts) {
   {
     WriterStall stall(**engine, 0);
     // More items than the stalled ring can hold: a session inheriting the
-    // engine-wide policy must give up after ~block_deadline instead of
+    // engine-wide block_deadline must give up after ~5ms instead of
     // blocking forever.
     std::vector<KeyedItem> batch(1024, KeyedItem{3, 1, 1});
     auto session = StagingSession(**engine, 2048);
@@ -201,18 +199,22 @@ TEST(BackpressureTest, BlockWithDeadlinePolicyRejectsAndCounts) {
   EXPECT_EQ(stats[0].items_applied + stats[0].items_rejected, 1024u);
 }
 
+// The default block_deadline waits for space: one flush of a batch four
+// times the ring lands in full, nothing rejected.
 TEST(BackpressureTest, SpinPolicyStillDrains) {
-  auto options = TinyRingOptions();
-  options.backpressure = BackpressurePolicy::kSpin;
+  const auto options = TinyRingOptions();
+  ASSERT_EQ(options.block_deadline, kWaitForSpace);
   auto engine = ShardedAggregateEngine::Create(
       SlidingWindowDecay::Create(1 << 20).value(), options);
   ASSERT_TRUE(engine.ok());
-  std::vector<KeyedItem> batch(4096, KeyedItem{5, 1, 1});
-  auto session = StagingSession(**engine, 8192);
+  const size_t items = 4 * options.queue_capacity;
+  std::vector<KeyedItem> batch(items, KeyedItem{5, 1, 1});
+  auto session = StagingSession(**engine, 2 * items);
   ASSERT_TRUE(session->AddBatch(batch).ok());
   ASSERT_TRUE(session->Flush().ok());
   ASSERT_TRUE((*engine)->Flush().ok());
-  EXPECT_EQ((*engine)->ItemsApplied(), 4096u);
+  EXPECT_EQ((*engine)->ItemsApplied(), items);
+  EXPECT_EQ((*engine)->Stats()[0].items_rejected, 0u);
 }
 
 TEST(BackpressureTest, StoppedEngineFailsFastInsteadOfSpinning) {
@@ -262,7 +264,7 @@ TEST(BackpressureTest, StoppedEngineFailsFastInsteadOfSpinning) {
   EXPECT_FALSE(rebalanced.ok());
 }
 
-// Session flushes honor the per-session kBlockWithDeadline admission
+// Session flushes honor the per-session block_deadline admission
 // contract: a flush that cannot place its staged runs before the deadline
 // rejects the remainder (dropped + counted), and the session is reusable
 // afterwards.

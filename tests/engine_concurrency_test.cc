@@ -357,10 +357,10 @@ TEST(ShardedEngineTest, SessionFlushesRaceMigrations) {
 }
 
 // Oversubscription: 2× more producer sessions than cores, rings far
-// smaller than the offered load, adaptive backpressure. Producers must
-// park (not burn a core each) while writers catch up, and the blocking
-// policy must admit every item exactly once — no loss, no duplication,
-// zero rejects.
+// smaller than the offered load, flushes that wait for space. Producers
+// must park (not burn a core each) while writers catch up, and the wait
+// must admit every item exactly once — no loss, no duplication, zero
+// rejects.
 TEST(ShardedEngineTest, OversubscribedSessionsDontLoseOrDuplicate) {
   const int kProducers =
       2 * std::max(4u, std::thread::hardware_concurrency());
@@ -372,7 +372,7 @@ TEST(ShardedEngineTest, OversubscribedSessionsDontLoseOrDuplicate) {
   options.registry = RegistryOptions(Backend::kCeh, 0.2);
   options.shards = 2;
   options.queue_capacity = 64;  // far below the per-round offered load
-  options.backpressure = BackpressurePolicy::kAdaptive;
+  options.block_deadline = kWaitForSpace;
   auto decay = SlidingWindowDecay::Create(1 << 16).value();
   auto engine = ShardedAggregateEngine::Create(decay, options);
   ASSERT_TRUE(engine.ok());
@@ -530,6 +530,23 @@ TEST(ShardedEngineTest, CreateValidates) {
   options.queue_capacity = 16;
   EXPECT_FALSE(ShardedAggregateEngine::Create(nullptr, options).ok());
   EXPECT_TRUE(ShardedAggregateEngine::Create(decay, options).ok());
+}
+
+// One writer thread per shard: a count past kMaxShards is refused before
+// anything is allocated or started (enough route slices that the cap, not
+// the slices check, is what refuses it).
+TEST(ShardedEngineTest, CreateRefusesTooManyShards) {
+  auto decay = SlidingWindowDecay::Create(64).value();
+  ShardedAggregateEngine::Options options;
+  options.shards = ShardedAggregateEngine::kMaxShards + 1;
+  ASSERT_EQ(options.shards, 1025u);
+  options.route_slices = 4 * options.shards;
+  options.queue_capacity = 16;
+  const auto engine = ShardedAggregateEngine::Create(decay, options);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(engine.status().message().find("1024"), std::string::npos)
+      << engine.status().message();
 }
 
 }  // namespace

@@ -219,10 +219,9 @@ TEST_F(EngineFaultTest, RingPushStickyFaultRejectsNonBlockingAdmission) {
   auto engine = ShardedAggregateEngine::Create(
       SlidingWindowDecay::Create(1 << 20).value(), options);
   ASSERT_TRUE(engine.ok());
-  // Non-blocking admission: a zero kBlockWithDeadline deadline makes each
-  // flush exactly one push attempt per shard.
+  // Non-blocking admission: a zero block_deadline makes each flush
+  // exactly one push attempt per shard.
   ProducerSessionOptions session_options;
-  session_options.backpressure = BackpressurePolicy::kBlockWithDeadline;
   session_options.block_deadline = std::chrono::nanoseconds(0);
   auto session = (*engine)->NewProducer(session_options);
   ASSERT_TRUE(session.ok());

@@ -10,7 +10,10 @@
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -361,7 +364,7 @@ TEST(EngineReadTest, QueryKeyRacesMigrations) {
   }
 }
 
-// After Stop() the read channel is closed and readers answer from the
+// After Stop() the mailbox is closed and readers answer from the
 // quiescent registry themselves: same values as before the stop, from
 // several threads at once, and reads racing Stop() itself never hang.
 TEST(EngineReadTest, ReadsAfterStopServeTheFinalState) {
@@ -412,6 +415,78 @@ TEST(EngineReadTest, ReadsAfterStopServeTheFinalState) {
     ASSERT_TRUE(after.ok());
     EXPECT_EQ(after->KeyCount(), key_count);
   }
+}
+
+// Every kind of writer task — the test hook, a shard snapshot, a merged
+// snapshot, point reads — still returns after Stop(): the writer has
+// exited, so each runs in place against the final state. The calls run
+// on a helper thread under a deadline, so a task that waits for a writer
+// that no longer exists fails this test instead of hanging the suite.
+TEST(EngineReadTest, WriterTasksAfterStopRunInPlace) {
+  constexpr uint64_t kKeys = 40;
+  const Config config{"EH", SlidingWindowDecay::Create(512).value(),
+                      Backend::kCeh};
+  auto engine = MakeEngine(config);
+  Tick t = 0;
+  const auto stream = MakeStream(*engine, 61, kKeys, 1500, &t);
+  ASSERT_TRUE(SessionIngest(*engine, stream).ok());
+  ASSERT_TRUE(engine->Flush().ok());
+  const std::string merged_before = MergedBlob(*engine);
+  // Shard state as the writer itself encodes it (the hook's task runs on
+  // the writer before Stop, in place after).
+  std::vector<std::string> shard_before(engine->shards());
+  for (uint32_t s = 0; s < engine->shards(); ++s) {
+    engine->RunOnWriterForTest(s, [&](AggregateRegistry& registry) {
+      ASSERT_TRUE(registry.EncodeState(&shard_before[s]).ok());
+    });
+  }
+  const double key_before = engine->QueryKey(3, t);
+  const double total_before = engine->QueryTotal(t);
+  engine->Stop();
+
+  // Owned by the helper too, so a helper stuck past the deadline never
+  // writes into a finished test's frame.
+  struct Results {
+    std::vector<std::string> shard_blobs;
+    size_t snapshot_keys = 0;
+    std::string merged_blob;
+    double key = 0.0;
+    double total = 0.0;
+  };
+  auto results = std::make_shared<Results>();
+  auto finished = std::make_shared<std::promise<void>>();
+  std::future<void> done = finished->get_future();
+  ShardedAggregateEngine* raw = engine.get();
+  std::thread helper([raw, results, finished, t] {
+    for (uint32_t s = 0; s < raw->shards(); ++s) {
+      std::string blob;
+      raw->RunOnWriterForTest(s, [&blob](AggregateRegistry& registry) {
+        (void)registry.EncodeState(&blob);
+      });
+      results->shard_blobs.push_back(std::move(blob));
+      const auto shard = raw->ShardSnapshot(s);
+      if (shard != nullptr) results->snapshot_keys += shard->KeyCount();
+    }
+    auto merged = raw->Snapshot();
+    if (merged.ok()) (void)merged->EncodeRegistryState(&results->merged_blob);
+    results->key = raw->QueryKey(3, t);
+    results->total = raw->QueryTotal(t);
+    finished->set_value();
+  });
+  if (done.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+    // The helper is blocked inside the engine: leak both rather than
+    // destroy the engine under it.
+    helper.detach();
+    (void)engine.release();
+    FAIL() << "a writer task posted after Stop() did not return";
+  }
+  helper.join();
+  EXPECT_EQ(results->shard_blobs, shard_before);
+  EXPECT_EQ(results->snapshot_keys, engine->KeyCount());
+  EXPECT_GT(results->snapshot_keys, 0u);
+  EXPECT_EQ(results->merged_blob, merged_before);
+  EXPECT_EQ(results->key, key_before);
+  EXPECT_EQ(results->total, total_before);
 }
 
 }  // namespace

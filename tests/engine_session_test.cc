@@ -126,6 +126,14 @@ TEST(ShardedEngineSessionTest, NewProducerValidatesOptions) {
   ProducerSessionOptions negative_deadline;
   negative_deadline.block_deadline = std::chrono::nanoseconds(-1);
   EXPECT_FALSE((*engine)->NewProducer(negative_deadline).ok());
+  // Zero (one push attempt) and kWaitForSpace (no deadline) bracket the
+  // valid overrides.
+  ProducerSessionOptions non_blocking;
+  non_blocking.block_deadline = std::chrono::nanoseconds(0);
+  EXPECT_TRUE((*engine)->NewProducer(non_blocking).ok());
+  ProducerSessionOptions waiting;
+  waiting.block_deadline = kWaitForSpace;
+  EXPECT_TRUE((*engine)->NewProducer(waiting).ok());
   EXPECT_TRUE((*engine)->NewProducer().ok());
 }
 

@@ -9,10 +9,10 @@
 // invariants audit clean, and every submitted item is accounted for as
 // applied or rejected (conservation: nothing lost, nothing duplicated).
 //
-// Ingest goes through a ProducerSession flushed under
-// kBlockWithDeadline with a finite deadline so that even a sticky
-// "engine.ring.push" fault ends in kUnavailable (staged items dropped as
-// rejected), keeping the driver hang-free by construction. The whole suite skips without -DTDS_FAILPOINTS
+// Ingest goes through a ProducerSession flushed under a finite
+// block_deadline so that even a sticky "engine.ring.push" fault ends in
+// kUnavailable (staged items dropped as rejected), keeping the driver
+// hang-free by construction. The whole suite skips without -DTDS_FAILPOINTS
 // (tools/check.sh runs it in the `faults` stage under ASan+UBSan).
 #include <chrono>
 #include <cstdint>
@@ -126,7 +126,6 @@ FaultFuzzCoverage RunEngineFaultFuzz(const DecayPtr& decay, Backend backend,
       }
       ProducerSessionOptions session_options;
       session_options.staging_capacity = batch.size() + 1;
-      session_options.backpressure = BackpressurePolicy::kBlockWithDeadline;
       session_options.block_deadline = std::chrono::milliseconds(50);
       auto session = engine.NewProducer(session_options);
       TDS_FUZZ_CHECK(session.ok(), in, session.status().ToString());

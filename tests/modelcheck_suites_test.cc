@@ -7,13 +7,13 @@
 //   1. SpscRing FIFO (including cursor wraparound at 2^32 and 2^64),
 //   2. RCU route publish vs concurrent routing (PublishRoute/CurrentRoute),
 //   3. the park/wake Dekker handshake (WakeWriter vs the writer's
-//      park sequence, with both a producer and a point reader posting)
+//      park sequence, with both a producer and a mailbox poster posting)
 //      and its documented missed-wake bound,
 //   4. stop-vs-ingest termination (the flush fence quiescence protocol).
 //
 // Each correct protocol must explore its space without a failure; each
 // deliberately seeded bug (dropped release on the route publish, demoted
-// Dekker orders under TSO, a relaxed read-request publish, a forgotten
+// Dekker orders under TSO, a relaxed mailbox publish, a forgotten
 // quiescence wake, stop published only after the fence drops) must be
 // caught. The suites together must
 // enumerate at least 10,000 interleavings (the PR's acceptance floor);
@@ -194,14 +194,19 @@ TEST(RoutePublishSuite, DroppedReleaseOnPublishIsCaught) {
 // sequence), under TSO store buffering.
 //
 // Two posters, as in the engine: a producer publishes work (seq_cst RMW on
-// `enqueued`) and a point reader publishes a read request (seq_cst store
-// of `read_requested`, after appending to the read list under its mutex,
-// which the model leaves out); each then loads `writer_parked` and wakes
-// if set. Writer: consume what is visible, and when something is still
-// outstanding store `writer_parked` (seq_cst) and re-check both flags
-// before parking; the re-check-to-wait window is closed by the eventcount
-// Gate, which models the engine's notify-under-mutex (WakeWriter locks
-// wake_mutex before NotifyAll).
+// `enqueued`) and a mailbox poster — a point read, a snapshot encode or a
+// migration step — publishes a task (seq_cst store of `mail_requested`,
+// after appending to the mailbox under its mutex, which the model leaves
+// out); each then loads `writer_parked` and wakes if set. (The writer's
+// pre-park re-check reads three flags: `stop_`, the third, is a seq_cst
+// store + probe exactly like `mail_requested`, so the model leaves it
+// out.) Writer: consume what is visible (the mailbox flag through its
+// relaxed pre-check, then the exchange — the idle poll does no RMW unless
+// a task is pending), and when something is still outstanding store
+// `writer_parked` (seq_cst) and re-check both flags before parking; the
+// re-check-to-wait window is closed by the eventcount Gate, which models
+// the engine's notify-under-mutex (WakeWriter locks wake_mutex before
+// NotifyAll).
 //
 // With seq_cst on both sides of each pairing, the seq_cst total order
 // guarantees at least one side sees the other — no interleaving
@@ -216,21 +221,21 @@ TEST(RoutePublishSuite, DroppedReleaseOnPublishIsCaught) {
 
 struct ParkModel {
   Atomic<uint64_t> enqueued{0};
-  Atomic<bool> read_requested{false};
+  Atomic<bool> mail_requested{false};
   Atomic<bool> writer_parked{false};
   Gate wake;
 };
 
 /// `handshake_order` is used by the producer's publish and probe and by
-/// the writer's park announcement and re-check; `read_order` by the
-/// reader's publish alone.
+/// the writer's park announcement and re-check; `mail_order` by the
+/// mailbox poster's publish alone.
 Result ExploreParkWake(std::memory_order handshake_order,
-                       std::memory_order read_order) {
+                       std::memory_order mail_order) {
   Options opts;
   opts.mode = Options::Mode::kDfs;
   opts.max_schedules = 20000;
   opts.tso = true;  // the store-buffer outcome is the whole point
-  return Record(Explore(opts, [handshake_order, read_order](McRun& run) {
+  return Record(Explore(opts, [handshake_order, mail_order](McRun& run) {
     auto model = std::make_unique<ParkModel>();
     ParkModel* m = model.get();
     run.Spawn([m, handshake_order] {
@@ -238,13 +243,13 @@ Result ExploreParkWake(std::memory_order handshake_order,
       m->enqueued.fetch_add(1, handshake_order);
       if (m->writer_parked.load(handshake_order)) m->wake.Wake();
     });
-    run.Spawn([m, handshake_order, read_order] {
-      // PostRead: publish the request, then the WakeWriter probe.
-      m->read_requested.store(true, read_order);
+    run.Spawn([m, handshake_order, mail_order] {
+      // PostTask: publish the task, then the WakeWriter probe.
+      m->mail_requested.store(true, mail_order);
       if (m->writer_parked.load(handshake_order)) m->wake.Wake();
     });
     run.Spawn([m, handshake_order] {
-      // WriterLoop: drain what is visible (the read flag through its
+      // WriterLoop: drain what is visible (the mailbox flag through its
       // relaxed pre-check, then the exchange), and park only after the
       // announce + re-check under the (modeled) wake mutex.
       uint64_t applied = 0;
@@ -253,15 +258,15 @@ Result ExploreParkWake(std::memory_order handshake_order,
         if (m->enqueued.load(std::memory_order_acquire) > applied) {
           applied = 1;
         }
-        if (m->read_requested.load(std::memory_order_relaxed) &&
-            m->read_requested.exchange(false, std::memory_order_acq_rel)) {
+        if (m->mail_requested.load(std::memory_order_relaxed) &&
+            m->mail_requested.exchange(false, std::memory_order_acq_rel)) {
           served = true;
         }
         if (applied == 1 && served) break;
         m->writer_parked.store(true, handshake_order);
         const uint64_t epoch = m->wake.PrepareWait();
         if (m->enqueued.load(handshake_order) == applied &&
-            !m->read_requested.load(handshake_order)) {
+            !m->mail_requested.load(handshake_order)) {
           m->wake.CommitWait(epoch);
         }
         m->writer_parked.store(false, std::memory_order_relaxed);
@@ -291,11 +296,11 @@ TEST(ParkWakeSuite, DemotedHandshakeDeadlocksUnderTso) {
 }
 
 TEST(ParkWakeSuite, RelaxedReadRequestStoreDeadlocksUnderTso) {
-  // The seeded bug on the read channel alone: every other operation stays
-  // seq_cst, but PostRead publishes `read_requested` relaxed. The store
-  // sits in the reader's buffer while its probe reads a stale
-  // `writer_parked`; the writer's re-check misses the buffered request
-  // and parks with a reader blocked on it.
+  // The seeded bug on the mailbox alone: every other operation stays
+  // seq_cst, but PostTask publishes `mail_requested` relaxed. The store
+  // sits in the poster's buffer while its probe reads a stale
+  // `writer_parked`; the writer's re-check misses the buffered task and
+  // parks with a reader (the test name's case) blocked on it.
   const Result result =
       ExploreParkWake(std::memory_order_seq_cst, std::memory_order_relaxed);
   ASSERT_TRUE(result.failed);

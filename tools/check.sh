@@ -16,7 +16,8 @@
 #             (engine_concurrency_test: multi-producer ingest, snapshot
 #             readers, and the rebalancer racing the writer threads;
 #             engine_read_test: point reads racing ingest, migrations,
-#             and Stop).
+#             and Stop; engine_backpressure_test: writers stalled through
+#             the mailbox while producers fill their rings).
 #   faults    Fault-injection matrix: ASan+UBSan build with
 #             -DTDS_FAILPOINTS=ON so the deterministic failpoints
 #             (util/failpoint.h) compile in, then the fault/checkpoint/
@@ -126,10 +127,10 @@ for stage in $STAGES; do
       log "TSan build + ctest"
       build_and_test build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DTDS_SANITIZE=thread
-      log "TSan leg: engine merge differential, fuzz drivers + point reads present"
+      log "TSan leg: engine merge differential, fuzz drivers, point reads + backpressure present"
       ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
         --no-tests=error \
-        -R 'EngineMerge|MergedSnapshot|RebalanceRaces|Oversubscribed|SessionFlushesRace|EngineRead'
+        -R 'EngineMerge|MergedSnapshot|RebalanceRaces|Oversubscribed|SessionFlushesRace|EngineRead|BackpressureTest'
       # Thread-local cascade scratch (flat_store.h) must hold under TSan:
       # the layout differential and prefetch oracle exercise it from the
       # engine's writer threads.
